@@ -84,10 +84,11 @@ int main(int argc, char** argv) {
 
       match::core::MaxCutProblem sampler(g);
       match::rng::Rng rrng(7);
+      std::vector<match::graph::NodeId> sides(n);
       double random_best = 0.0;
       for (std::size_t k = 0; k < ce_budget; ++k) {
-        random_best =
-            std::max(random_best, sampler.cut_weight(sampler.draw(rrng)));
+        sampler.draw(sides, rrng);
+        random_best = std::max(random_best, sampler.cut_weight(sides));
       }
       ce_wins &= ce_cut >= random_best;
       large.add_row({"gnp-" + std::to_string(n), std::to_string(n),

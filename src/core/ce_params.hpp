@@ -79,4 +79,44 @@ struct CeCommonParams {
   }
 };
 
+/// The stop rules of the two stochastic-matrix mappers (`MatchParams`,
+/// `GeneralMatchParams`), declared once.  Defaults are the paper's.
+struct CeStopParams {
+  /// The paper's `c`: iterations the per-row maxima must stay unchanged
+  /// (eq. 12).
+  std::size_t stability_window = 5;
+
+  /// The paper's generic-CE stop (Fig. 2 step 4): iterations the elite
+  /// threshold γ̂ must stay unchanged.  Needed because eq. (12) alone
+  /// cannot fire on instances with several optimal mappings, where P
+  /// legitimately converges to a mixture over optima and the row maxima
+  /// keep fluctuating (see DESIGN.md §3).
+  std::size_t gamma_stall_window = 10;
+
+  /// Tolerance for "unchanged" in both stability checks (the paper
+  /// compares floats for equality; see DESIGN.md).
+  double stability_eps = 1e-6;
+
+  /// ε for the degeneracy early-out: stop once every row max ≥ 1 − ε.
+  double degeneracy_eps = 1e-3;
+
+  /// Hard iteration cap.
+  std::size_t max_iterations = 1000;
+
+  /// Throws `std::invalid_argument` (prefixed with `who`) when a field is
+  /// out of range.
+  void validate_stop(const char* who) const {
+    const std::string prefix = std::string(who) + ": ";
+    if (stability_window == 0 || gamma_stall_window == 0) {
+      throw std::invalid_argument(prefix + "stop windows must be >= 1");
+    }
+    if (stability_eps < 0.0 || degeneracy_eps <= 0.0) {
+      throw std::invalid_argument(prefix + "bad epsilon");
+    }
+    if (max_iterations == 0) {
+      throw std::invalid_argument(prefix + "max_iterations must be >= 1");
+    }
+  }
+};
+
 }  // namespace match::core

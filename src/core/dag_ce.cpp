@@ -6,7 +6,10 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "core/genperm.hpp"
+#include "core/stochastic_matrix.hpp"
 #include "parallel/parallel_for.hpp"
 
 namespace match::core {
@@ -24,80 +27,82 @@ void DagCeParams::validate() const {
   }
 }
 
-DagPriorityProblem::DagPriorityProblem(const sim::ScheduleEvaluator& eval,
-                                       SamplerBackend backend,
-                                       bool random_task_order, bool parallel)
-    : eval_(&eval),
-      n_(eval.num_tasks()),
-      p_(StochasticMatrix::uniform(eval.num_tasks() > 0 ? eval.num_tasks() : 1,
-                                   eval.num_tasks() > 0 ? eval.num_tasks()
-                                                        : 1)),
-      sampler_(eval.num_tasks()),
-      backend_(backend),
-      random_task_order_(random_task_order),
-      parallel_(parallel) {
-  if (n_ < 2) {
-    throw std::invalid_argument("DagPriorityProblem: need >= 2 tasks");
-  }
-}
+namespace {
 
-DagPriorityProblem::Sample DagPriorityProblem::draw(rng::Rng& rng) {
-  Sample priority(n_);
-  // GenPerm reads P row-by-row with a free-set constraint; here rows are
-  // priority slots and columns are tasks, so out[slot] = task.
-  if (backend_ == SamplerBackend::kAlias) {
-    if (tables_dirty_) {
-      tables_.build(p_);
-      tables_dirty_ = false;
+/// DAG CE as an engine problem: a sample is a priority permutation
+/// (`sample[k]` = the k-th most urgent task), drawn by GenPerm from
+/// P[slot][task] lane by lane in sequence, and scored by the list
+/// scheduler's batch path straight from the block.
+class DagPriorityProblem {
+ public:
+  static constexpr EliteRule kElite = EliteRule::kQuantile;
+  static constexpr StallRule kStall = StallRule::kNoGain;
+
+  DagPriorityProblem(const sim::ScheduleEvaluator& eval,
+                     const DagCeParams& params, const SolverContext& ctx)
+      : eval_(&eval),
+        n_(eval.num_tasks()),
+        p_(StochasticMatrix::uniform(n_ > 0 ? n_ : 1, n_ > 0 ? n_ : 1)),
+        sampler_(n_),
+        backend_(params.sampler),
+        random_task_order_(params.random_task_order) {
+    if (n_ < 2) {
+      throw std::invalid_argument("DagPriorityProblem: need >= 2 tasks");
     }
-    sampler_.sample(p_, tables_, rng, priority, random_task_order_);
-  } else {
-    sampler_.sample(p_, rng, priority, random_task_order_);
-  }
-  return priority;
-}
-
-double DagPriorityProblem::cost(const Sample& priority) {
-  ++evaluations_;
-  return eval_->schedule_priorities(priority, scratch_);
-}
-
-void DagPriorityProblem::costs(const std::vector<Sample>& samples,
-                               std::span<double> out,
-                               const match::SolverContext& ctx) {
-  block_.reset(n_, samples.size());
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    block_.store_sample(i, samples[i]);
-  }
-  parallel::ForOptions opts;
-  opts.pool = ctx.pool();
-  if (!parallel_) {
-    // Lane results are thread-count-independent either way; serial mode
-    // just never touches the pool.
-    opts.serial_cutoff = std::numeric_limits<std::size_t>::max();
-  }
-  eval_->priority_makespans_batch(block_, out, opts);
-  evaluations_ += samples.size();
-}
-
-void DagPriorityProblem::update(const std::vector<const Sample*>& elites,
-                                double zeta) {
-  if (elites.empty()) return;
-  counts_.assign(n_ * n_, 0.0);
-  for (const Sample* priority : elites) {
-    for (std::size_t slot = 0; slot < n_; ++slot) {
-      counts_[slot * n_ + (*priority)[slot]] += 1.0;
+    opts_.pool = ctx.pool();
+    if (!params.parallel) {
+      // Lane results are thread-count-independent either way; serial mode
+      // just never touches the pool.
+      opts_.serial_cutoff = std::numeric_limits<std::size_t>::max();
     }
   }
-  const double denom = static_cast<double>(elites.size());
-  for (double& c : counts_) c /= denom;
-  p_.blend_from(StochasticMatrix::from_values(n_, n_, counts_), zeta);
-  tables_dirty_ = true;
-}
 
-bool DagPriorityProblem::degenerate(double eps) const {
-  return p_.is_degenerate(eps);
-}
+  std::size_t sample_length() const { return n_; }
+  bool degenerate(double eps) const { return p_.is_degenerate(eps); }
+  std::size_t evaluations() const { return evaluations_; }
+
+  /// GenPerm reads P row-by-row with a free-set constraint; here rows are
+  /// priority slots and columns are tasks, so out[slot] = task.
+  void draw(std::span<graph::NodeId> priority, rng::Rng& rng) {
+    if (backend_ == SamplerBackend::kAlias) {
+      if (tables_dirty_) {
+        tables_.build(p_);
+        tables_dirty_ = false;
+      }
+      sampler_.sample(p_, tables_, rng, priority, random_task_order_);
+    } else {
+      sampler_.sample(p_, rng, priority, random_task_order_);
+    }
+  }
+
+  /// Scalar lanes with pooled scratch, fanned across the pool when
+  /// `parallel` is set; each lane equals `schedule_priorities`.
+  void evaluate(const sim::SampleBlock& block, std::span<double> out) {
+    eval_->priority_makespans_batch(block, out, opts_);
+    evaluations_ += block.size();
+  }
+
+  void update(const sim::SampleBlock& block, std::span<const std::size_t> elite,
+              double zeta) {
+    update_from_elite(p_, block, elite, zeta, counts_, opts_);
+    tables_dirty_ = true;
+  }
+
+ private:
+  const sim::ScheduleEvaluator* eval_;
+  std::size_t n_;
+  StochasticMatrix p_;  ///< P[slot][task], row-stochastic
+  GenPermSampler sampler_;
+  RowAliasTables tables_;
+  SamplerBackend backend_;
+  bool random_task_order_;
+  bool tables_dirty_ = true;
+  std::size_t evaluations_ = 0;
+  parallel::ForOptions opts_;
+  std::vector<double> counts_;
+};
+
+}  // namespace
 
 DagCeResult solve_dag_ce(const sim::ScheduleEvaluator& eval,
                          const DagCeParams& params,
@@ -106,8 +111,7 @@ DagCeResult solve_dag_ce(const sim::ScheduleEvaluator& eval,
   const auto t0 = std::chrono::steady_clock::now();
   const std::size_t n = eval.num_tasks();
 
-  DagPriorityProblem problem(eval, params.sampler, params.random_task_order,
-                             params.parallel);
+  DagPriorityProblem problem(eval, params, ctx);
   if (ctx.metrics() != nullptr) {
     // Book the evaluator's resolved kernel so operators can see which
     // backend actually served the run (same booking as matchalgo/ga).
@@ -127,7 +131,7 @@ DagCeResult solve_dag_ce(const sim::ScheduleEvaluator& eval,
   driver.degeneracy_eps = params.degeneracy_eps;
   driver.target_cost = params.target_cost;
 
-  CeResult<DagPriorityProblem::Sample> ce = run_ce(problem, driver, ctx);
+  CeResult ce = run_ce(problem, driver, ctx);
 
   DagCeResult result;
   static_cast<match::RunSummary&>(result) = ce;

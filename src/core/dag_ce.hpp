@@ -12,18 +12,15 @@
 // ("which task is the k-th most urgent"), `GenPermSampler` draws valid
 // permutations from it, and the elite update re-estimates slot→task
 // frequencies — the same GenPerm + elite-frequency scheme as MaTCH, run
-// through the generic `run_ce` driver with no solver-core changes.
+// by the one CE engine (core/ce_driver.hpp) with the generic `run_ce`
+// stop rules.
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 #include "core/ce_driver.hpp"
 #include "core/ce_params.hpp"
-#include "core/genperm.hpp"
 #include "core/solver_context.hpp"
-#include "core/stochastic_matrix.hpp"
-#include "rng/rng.hpp"
 #include "sim/mapping.hpp"
 #include "sim/schedule_eval.hpp"
 
@@ -52,49 +49,6 @@ struct DagCeParams : CeCommonParams {
   void validate() const;
 };
 
-/// The `run_ce` problem adapter: Sample = priority permutation
-/// (`sample[k]` = the k-th most urgent task).
-class DagPriorityProblem {
- public:
-  using Sample = std::vector<graph::NodeId>;
-
-  DagPriorityProblem(const sim::ScheduleEvaluator& eval,
-                     SamplerBackend backend = SamplerBackend::kAlias,
-                     bool random_task_order = true, bool parallel = false);
-
-  std::size_t size() const noexcept { return n_; }
-
-  // --- CE driver interface -------------------------------------------
-  Sample draw(rng::Rng& rng);
-  double cost(const Sample& priority);
-  /// Batched cost hook preferred by `run_ce`: re-packs the batch into a
-  /// task-major `SampleBlock` and runs `priority_makespans_batch`
-  /// (scalar lanes, pooled scratch), fanning lanes across `ctx`'s thread
-  /// pool when `parallel` was set.  Results match `cost()` lane for lane.
-  void costs(const std::vector<Sample>& samples, std::span<double> out,
-             const match::SolverContext& ctx);
-  void update(const std::vector<const Sample*>& elites, double zeta);
-  bool degenerate(double eps) const;
-
-  const StochasticMatrix& priority_matrix() const noexcept { return p_; }
-  std::size_t evaluations() const noexcept { return evaluations_; }
-
- private:
-  const sim::ScheduleEvaluator* eval_;
-  std::size_t n_;
-  StochasticMatrix p_;  ///< P[slot][task], row-stochastic
-  GenPermSampler sampler_;
-  RowAliasTables tables_;
-  SamplerBackend backend_;
-  bool random_task_order_;
-  bool parallel_;
-  bool tables_dirty_ = true;
-  std::size_t evaluations_ = 0;
-  sim::ScheduleEvaluator::Scratch scratch_;
-  sim::SampleBlock block_;  ///< batched-cost re-pack, reused per iteration
-  std::vector<double> counts_;
-};
-
 /// Outcome of a DAG CE run.  `best_cost` is the makespan; the schedule
 /// is the best priority's full timed schedule (re-derived once at the
 /// end — the list scheduler is deterministic, so it reproduces the cost
@@ -104,14 +58,15 @@ struct DagCeResult : match::RunSummary {
   sim::Mapping best_mapping;
   sim::Schedule schedule;
   std::size_t evaluations = 0;  ///< list-scheduler invocations spent
-  std::vector<CeIterationStats> history;
+  std::vector<IterationStats> history;
   double elapsed_seconds = 0.0;
 };
 
 /// Runs CE over priority permutations on `eval`'s DAG + platform.  The
-/// context supplies the RNG stream (required), stop hook, and telemetry;
-/// determinism and cancellation semantics follow `run_ce` (including the
-/// single fallback draw when cancelled before the first batch).
+/// context supplies the RNG stream (required), stop hook, thread pool and
+/// telemetry; determinism and cancellation semantics follow `run_ce`
+/// (including the single fallback draw when cancelled before the first
+/// batch).
 DagCeResult solve_dag_ce(const sim::ScheduleEvaluator& eval,
                          const DagCeParams& params,
                          const match::SolverContext& ctx);

@@ -1,14 +1,8 @@
 #include "core/general_match.hpp"
 
-#include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <limits>
-#include <numeric>
-#include <stdexcept>
 #include <string>
 
-#include "obs/scoped_timer.hpp"
 #include "parallel/parallel_for.hpp"
 #include "rng/splitmix64.hpp"
 
@@ -16,15 +10,7 @@ namespace match::core {
 
 void GeneralMatchParams::validate() const {
   validate_common("GeneralMatchParams");
-  if (stability_window == 0 || gamma_stall_window == 0) {
-    throw std::invalid_argument("GeneralMatchParams: zero window");
-  }
-  if (stability_eps < 0.0 || degeneracy_eps <= 0.0) {
-    throw std::invalid_argument("GeneralMatchParams: bad epsilon");
-  }
-  if (max_iterations == 0) {
-    throw std::invalid_argument("GeneralMatchParams: max_iterations >= 1");
-  }
+  validate_stop("GeneralMatchParams");
 }
 
 GeneralMatchOptimizer::GeneralMatchOptimizer(const sim::CostEvaluator& eval,
@@ -46,199 +32,96 @@ std::uint64_t sample_seed(std::uint64_t iter_seed, std::uint64_t index) {
   return mixer.next();
 }
 
-}  // namespace
+/// The general mapper as an engine problem: the naive independent-rows
+/// sampler (each task draws its resource from its own row of P, no
+/// uniqueness constraint), the batch kernel, and MaTCH's update.
+class GeneralProblem {
+ public:
+  static constexpr EliteRule kElite = EliteRule::kThreshold;
+  static constexpr StallRule kStall = StallRule::kUnchanged;
 
-MatchResult GeneralMatchOptimizer::run(const SolverContext& ctx) {
-  const auto t_start = std::chrono::steady_clock::now();
-  rng::Rng& rng = ctx.rng();
-  obs::PhaseProbe probe(ctx.sink(), ctx.metrics(), "general", ctx.run_id());
-  obs::Counter* iter_counter =
-      ctx.metrics() != nullptr ? &ctx.metrics()->counter("general.iterations")
-                               : nullptr;
-  ctx.emit(obs::Event::run_start(ctx.run_id(), "general"));
-  const std::size_t nt = tasks_;
-  const std::size_t nr = resources_;
-  const std::size_t batch = sample_size_;
-
-  StochasticMatrix p = StochasticMatrix::uniform(nt, nr);
-
-  // Samples live in SoA (transposed task-major) form: the naive sampler
-  // scatters each draw in, the batch evaluator and the elite count read
-  // task rows directly.
-  sim::SampleBlock block(nt, batch);
-  std::vector<double> costs(batch);
-  std::vector<std::size_t> order(batch);
-  std::vector<double> counts(nt * nr);
-  std::vector<graph::NodeId> best_row(nt);
-  std::vector<double> load;  // scalar recompute scratch (serial use only)
-  std::vector<std::size_t> elite_idx;
-  elite_idx.reserve(batch);
-
-  sim::BatchEvaluator batch_eval(*eval_, params_.eval_backend);
-  if (ctx.metrics() != nullptr) {
-    ctx.metrics()
-        ->counter(std::string("solver.backend.") + batch_eval.backend_name())
-        .add();
-  }
-
-  MatchResult result;
-  result.best_cost = std::numeric_limits<double>::infinity();
-
-  std::vector<double> prev_row_max(nt, -1.0);
-  std::size_t stable_iters = 0;
-  double prev_gamma = std::numeric_limits<double>::quiet_NaN();
-  std::size_t gamma_stall = 0;
-
-  parallel::ForOptions for_opts;
-  for_opts.pool = ctx.pool();
-  if (!params_.parallel) {
-    for_opts.serial_cutoff = std::numeric_limits<std::size_t>::max();
-  }
-
-  for (std::size_t iter = 0; iter < params_.max_iterations; ++iter) {
-    if (ctx.stop_requested()) {
-      result.stop_reason = StopReason::kCancelled;
-      break;
+  GeneralProblem(const sim::CostEvaluator& eval,
+                 const GeneralMatchParams& params, const SolverContext& ctx)
+      : eval_(&eval),
+        p_(StochasticMatrix::uniform(eval.num_tasks(), eval.num_resources())),
+        batch_eval_(eval, params.eval_backend) {
+    if (ctx.metrics() != nullptr) {
+      ctx.metrics()
+          ->counter(std::string("solver.backend.") + batch_eval_.backend_name())
+          .add();
     }
-    probe.start_iteration(iter);
+    opts_.pool = ctx.pool();
+    if (!params.parallel) {
+      opts_.serial_cutoff = std::numeric_limits<std::size_t>::max();
+    }
+  }
+
+  std::size_t sample_length() const { return p_.rows(); }
+  const StochasticMatrix& matrix() const { return p_; }
+  bool degenerate(double eps) const { return p_.is_degenerate(eps); }
+
+  /// Lanes are seeded from (iteration seed, lane) alone, as in MaTCH.
+  void draw(sim::SampleBlock& block, rng::Rng& rng) {
     const std::uint64_t iter_seed = rng.bits();
-    // Naive independent-rows sampler: each task draws its resource from
-    // its own row of P, no uniqueness constraint.  Draws are seeded from
-    // (iter_seed, i) alone, so splitting the draw and cost passes keeps
-    // the stream identical to the historical fused loop.
     parallel::parallel_for_chunked(
-        0, batch,
+        0, block.size(),
         [&](std::size_t lo, std::size_t hi, std::size_t /*chunk*/) {
-          std::vector<graph::NodeId> row(nt);
+          std::vector<graph::NodeId> row(p_.rows());
           for (std::size_t i = lo; i < hi; ++i) {
             rng::Rng local(sample_seed(iter_seed, i));
-            for (std::size_t t = 0; t < nt; ++t) {
-              row[t] = static_cast<graph::NodeId>(
-                  local.weighted_pick(p.row(t), 1.0));
-            }
+            draw_rows(local, row);
             block.store_sample(i, row);
           }
         },
-        for_opts);
-    probe.split("draw");
-    batch_eval.evaluate(block, costs, for_opts);
-    probe.split("cost");
-
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return costs[a] < costs[b];
-    });
-    const std::size_t rho_count = std::max<std::size_t>(
-        1, static_cast<std::size_t>(
-               std::floor(params_.rho * static_cast<double>(batch))));
-    const double gamma = costs[order[rho_count - 1]];
-
-    if (costs[order[0]] < result.best_cost) {
-      // Scalar recompute keeps best_cost == makespan(best_mapping)
-      // bit-exact under every backend (see MatchOptimizer::run).
-      block.load_sample(order[0], best_row);
-      const double exact = eval_->makespan(best_row, load);
-      if (exact < result.best_cost) {
-        result.best_cost = exact;
-        result.best_mapping = sim::Mapping(
-            std::vector<graph::NodeId>(best_row.begin(), best_row.end()));
-      }
-    }
-
-    // Task-major elite count straight from the SoA block (see
-    // MatchOptimizer::run for why this needs no per-worker buffers).
-    elite_idx.clear();
-    for (std::size_t i = 0; i < batch; ++i) {
-      if (costs[i] <= gamma) elite_idx.push_back(i);
-    }
-    const std::size_t elite = elite_idx.size();
-    std::fill(counts.begin(), counts.end(), 0.0);
-    for (std::size_t t = 0; t < nt; ++t) {
-      const graph::NodeId* row = block.task_row(t);
-      double* ct = counts.data() + t * nr;
-      for (const std::size_t i : elite_idx) ct[row[i]] += 1.0;
-    }
-    for (double& c : counts) c /= static_cast<double>(elite);
-    const StochasticMatrix q = StochasticMatrix::from_values(nt, nr, counts);
-    p.blend_from(q, params_.zeta);
-    probe.split("update");
-
-    IterationStats stats;
-    stats.iteration = iter;
-    stats.gamma = gamma;
-    stats.iter_best = costs[order[0]];
-    stats.best_so_far = result.best_cost;
-    stats.mean_entropy = p.mean_entropy();
-    stats.min_row_max = p.min_row_max();
-    stats.elite_count = elite;
-
-    bool stable = true;
-    double row_max_sum = 0.0;
-    for (std::size_t t = 0; t < nt; ++t) {
-      const double mu = p.row_max(t);
-      row_max_sum += mu;
-      if (std::abs(mu - prev_row_max[t]) > params_.stability_eps) stable = false;
-      prev_row_max[t] = mu;
-    }
-    stats.row_max_mean = row_max_sum / static_cast<double>(nt);
-    result.history.push_back(stats);
-    if (trace_) trace_(stats, p);
-    result.iterations = iter + 1;
-    if (iter_counter != nullptr) iter_counter->add();
-    ctx.emit(obs::Event::iteration_event(
-        ctx.run_id(), "general", iter, gamma, stats.iter_best,
-        result.best_cost, gamma - stats.iter_best, stats.row_max_mean,
-        stats.mean_entropy, elite));
-    if (params_.target_cost > 0.0 && result.best_cost <= params_.target_cost) {
-      result.stop_reason = StopReason::kTargetReached;
-      break;
-    }
-    stable_iters = stable ? stable_iters + 1 : 0;
-    if (stable_iters >= params_.stability_window) {
-      result.stop_reason = StopReason::kRowMaxStable;
-      break;
-    }
-    if (p.is_degenerate(params_.degeneracy_eps)) {
-      result.stop_reason = StopReason::kDegenerate;
-      break;
-    }
-    gamma_stall = (std::abs(gamma - prev_gamma) <= params_.stability_eps)
-                      ? gamma_stall + 1
-                      : 0;
-    prev_gamma = gamma;
-    if (gamma_stall >= params_.gamma_stall_window) {
-      result.stop_reason = StopReason::kGammaStable;
-      break;
-    }
-    result.stop_reason = StopReason::kMaxIterations;
+        opts_);
   }
 
-  if (result.iterations == 0 && !std::isfinite(result.best_cost)) {
-    // Cancelled before the first batch: evaluate one naive draw so the
-    // result always carries a valid mapping.
-    std::vector<graph::NodeId> row(nt);
+  /// The cancel fallback: one naive draw.
+  void draw(std::span<graph::NodeId> row, rng::Rng& rng) {
     rng::Rng local(rng.bits());
-    for (std::size_t t = 0; t < nt; ++t) {
-      row[t] = static_cast<graph::NodeId>(local.weighted_pick(p.row(t), 1.0));
-    }
-    result.best_cost =
-        eval_->makespan(std::span<const graph::NodeId>(row.data(), nt));
-    result.best_mapping = sim::Mapping(std::move(row));
-    ctx.emit(obs::Event::fallback_draw(ctx.run_id(), "general"));
-    if (ctx.metrics() != nullptr) {
-      ctx.metrics()->counter("solver.fallback_draws").add();
+    draw_rows(local, row);
+  }
+
+  void evaluate(const sim::SampleBlock& block, std::span<double> costs) {
+    batch_eval_.evaluate(block, costs, opts_);
+  }
+
+  /// Scalar reference for the engine's recompute guard.
+  double cost(std::span<const graph::NodeId> row) {
+    return eval_->makespan(row, load_);
+  }
+
+  void update(const sim::SampleBlock& block, std::span<const std::size_t> elite,
+              double zeta) {
+    update_from_elite(p_, block, elite, zeta, counts_, opts_);
+  }
+
+ private:
+  void draw_rows(rng::Rng& rng, std::span<graph::NodeId> row) const {
+    for (std::size_t t = 0; t < row.size(); ++t) {
+      row[t] = static_cast<graph::NodeId>(rng.weighted_pick(p_.row(t), 1.0));
     }
   }
 
-  result.cancelled = result.stop_reason == StopReason::kCancelled;
-  result.degenerate = result.stop_reason == StopReason::kDegenerate;
-  result.final_matrix = p;
-  result.elapsed_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t_start)
-          .count();
-  ctx.emit(obs::Event::run_end(ctx.run_id(), "general", result.iterations,
-                               result.best_cost, result.elapsed_seconds));
-  return result;
+  const sim::CostEvaluator* eval_;
+  StochasticMatrix p_;
+  sim::BatchEvaluator batch_eval_;
+  parallel::ForOptions opts_;
+  std::vector<double> counts_;
+  std::vector<double> load_;  ///< scalar recompute scratch
+};
+
+}  // namespace
+
+MatchResult GeneralMatchOptimizer::run(const SolverContext& ctx) {
+  GeneralProblem problem(*eval_, params_, ctx);
+  CeLoop loop{params_};
+  loop.solver = "general";
+  loop.lanes = sample_size_;
+  loop.rho = params_.rho;
+  loop.zeta = params_.zeta;
+  loop.target_cost = params_.target_cost;
+  return detail::run_mapping(problem, loop, trace_, ctx);
 }
 
 }  // namespace match::core

@@ -28,14 +28,9 @@ namespace match::core {
 /// analogue of the paper's 2n²).  The base's `sampler` field is accepted
 /// but ignored: without the permutation constraint each task draws its
 /// resource independently from its own row, so there is no GenPerm
-/// backend to select.
-struct GeneralMatchParams : CeCommonParams {
-  std::size_t stability_window = 5;
-  std::size_t gamma_stall_window = 10;
-  double stability_eps = 1e-6;
-  double degeneracy_eps = 1e-3;
-  std::size_t max_iterations = 1000;
-
+/// backend to select.  The stop rules live in the `CeStopParams` base,
+/// with MaTCH's defaults.
+struct GeneralMatchParams : CeCommonParams, CeStopParams {
   void validate() const;
 };
 

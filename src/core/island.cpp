@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
+#include <deque>
 #include <limits>
-#include <numeric>
 #include <stdexcept>
 
+#include "core/ce_driver.hpp"
 #include "core/genperm.hpp"
 #include "core/stochastic_matrix.hpp"
 #include "obs/scoped_timer.hpp"
@@ -48,12 +48,63 @@ IslandMatchOptimizer::IslandMatchOptimizer(const sim::CostEvaluator& eval,
 
 namespace {
 
-/// Per-island evolving state.
-struct Island {
+/// One island's CE problem: sequential exact-scan GenPerm draws from the
+/// island's own P, scored by the scalar batch kernel (bit-identical to
+/// `CostEvaluator::makespan`), with MaTCH's elite update.
+class IslandProblem {
+ public:
+  static constexpr EliteRule kElite = EliteRule::kThreshold;
+  static constexpr StallRule kStall = StallRule::kUnchanged;
+
+  IslandProblem(const sim::CostEvaluator& eval, std::uint64_t island_seed)
+      : p(StochasticMatrix::uniform(eval.num_tasks(), eval.num_tasks())),
+        seed(island_seed),
+        sampler_(eval.num_tasks()),
+        batch_eval_(eval, sim::EvalBackend::kScalar) {
+    // Islands already run concurrently; each one's loops stay serial.
+    opts_.serial_cutoff = std::numeric_limits<std::size_t>::max();
+  }
+
+  std::size_t sample_length() const { return p.rows(); }
+  bool degenerate(double eps) const { return p.is_degenerate(eps); }
+
+  /// Starts an epoch: the task order chains across the epoch's draws
+  /// only.
+  void reset_order() { sampler_.reset_order(); }
+
+  void draw(std::span<graph::NodeId> row, rng::Rng& rng) {
+    sampler_.sample(p, rng, row);
+  }
+
+  void evaluate(const sim::SampleBlock& block, std::span<double> costs) {
+    batch_eval_.evaluate(block, costs, opts_);
+  }
+
+  void update(const sim::SampleBlock& block, std::span<const std::size_t> elite,
+              double zeta) {
+    update_from_elite(p, block, elite, zeta, counts_, opts_);
+  }
+
   StochasticMatrix p;
-  sim::Mapping best_mapping;
-  double best_cost = std::numeric_limits<double>::infinity();
-  std::uint64_t seed = 0;
+  std::uint64_t seed;
+
+ private:
+  GenPermSampler sampler_;
+  sim::BatchEvaluator batch_eval_;
+  parallel::ForOptions opts_;
+  std::vector<double> counts_;
+};
+
+/// One island: its problem and the engine stepping it (the engine keeps a
+/// pointer to the problem, so islands live in a deque and never move).
+struct Island {
+  IslandProblem problem;
+  CeEngine<IslandProblem> engine;
+
+  Island(const sim::CostEvaluator& eval, std::uint64_t seed, const CeLoop& loop)
+      : problem(eval, seed), engine(problem, loop, SolverContext()) {}
+  Island(const Island&) = delete;
+  Island& operator=(const Island&) = delete;
 };
 
 }  // namespace
@@ -62,19 +113,19 @@ IslandResult IslandMatchOptimizer::run(const SolverContext& ctx) {
   const auto t_start = std::chrono::steady_clock::now();
   rng::Rng& rng = ctx.rng();
   obs::PhaseProbe probe(ctx.sink(), ctx.metrics(), "island", ctx.run_id());
-  obs::Counter* iter_counter =
+  obs::Counter* epoch_counter =
       ctx.metrics() != nullptr ? &ctx.metrics()->counter("island.epochs")
                                : nullptr;
   ctx.emit(obs::Event::run_start(ctx.run_id(), "island"));
-  const std::size_t n = n_;
-  const std::size_t batch = sample_size_;
   const std::size_t k = params_.islands;
 
-  std::vector<Island> islands(k);
-  for (auto& island : islands) {
-    island.p = StochasticMatrix::uniform(n, n);
-    island.seed = rng.bits();
-  }
+  CeLoop loop;
+  loop.solver = "island";
+  loop.lanes = sample_size_;
+  loop.rho = params_.rho;
+  loop.zeta = params_.zeta;
+  std::deque<Island> islands;
+  for (std::size_t i = 0; i < k; ++i) islands.emplace_back(*eval_, rng.bits(), loop);
 
   IslandResult result;
   result.best_cost = std::numeric_limits<double>::infinity();
@@ -88,10 +139,6 @@ IslandResult IslandMatchOptimizer::run(const SolverContext& ctx) {
     for_opts.serial_cutoff = 0;
   }
 
-  const std::size_t rho_count = std::max<std::size_t>(
-      1, static_cast<std::size_t>(
-             std::floor(params_.rho * static_cast<double>(batch))));
-
   std::size_t stall = 0;
   for (std::size_t epoch = 0; epoch < params_.max_epochs; ++epoch) {
     if (ctx.stop_requested()) {
@@ -104,49 +151,12 @@ IslandResult IslandMatchOptimizer::run(const SolverContext& ctx) {
         0, k,
         [&](std::size_t idx) {
           Island& island = islands[idx];
-          rng::SplitMix64 mixer(island.seed ^ (epoch * 0x9e3779b97f4a7c15ULL));
+          rng::SplitMix64 mixer(island.problem.seed ^
+                                (epoch * 0x9e3779b97f4a7c15ULL));
           rng::Rng local(mixer.next());
-
-          GenPermSampler sampler(n);
-          std::vector<graph::NodeId> samples(batch * n);
-          std::vector<double> costs(batch);
-          std::vector<std::size_t> order(batch);
-          std::vector<double> counts(n * n);
-
+          island.problem.reset_order();
           for (std::size_t it = 0; it < params_.epoch_iterations; ++it) {
-            for (std::size_t i = 0; i < batch; ++i) {
-              const std::span<graph::NodeId> row(samples.data() + i * n, n);
-              sampler.sample(island.p, local, row);
-              costs[i] = eval_->makespan(row);
-            }
-            std::iota(order.begin(), order.end(), std::size_t{0});
-            std::sort(order.begin(), order.end(),
-                      [&](std::size_t a, std::size_t b) {
-                        return costs[a] < costs[b];
-                      });
-            const double gamma = costs[order[rho_count - 1]];
-            if (costs[order[0]] < island.best_cost) {
-              island.best_cost = costs[order[0]];
-              const std::size_t bi = order[0];
-              island.best_mapping = sim::Mapping(std::vector<graph::NodeId>(
-                  samples.begin() + static_cast<std::ptrdiff_t>(bi * n),
-                  samples.begin() + static_cast<std::ptrdiff_t>((bi + 1) * n)));
-            }
-            std::fill(counts.begin(), counts.end(), 0.0);
-            std::size_t elite = 0;
-            for (std::size_t i = 0; i < batch; ++i) {
-              if (costs[i] <= gamma) {
-                ++elite;
-                const graph::NodeId* row = samples.data() + i * n;
-                for (std::size_t t = 0; t < n; ++t) {
-                  counts[t * n + row[t]] += 1.0;
-                }
-              }
-            }
-            for (double& c : counts) c /= static_cast<double>(elite);
-            island.p.blend_from(StochasticMatrix::from_values(n, n, counts),
-                                params_.zeta);
-            counts.assign(n * n, 0.0);
+            island.engine.step(it, local);
           }
         },
         for_opts);
@@ -155,21 +165,26 @@ IslandResult IslandMatchOptimizer::run(const SolverContext& ctx) {
     // --- Migration: everyone drifts toward the best island. -------------
     std::size_t best_island = 0;
     for (std::size_t i = 1; i < k; ++i) {
-      if (islands[i].best_cost < islands[best_island].best_cost) {
+      if (islands[i].engine.best_cost() <
+          islands[best_island].engine.best_cost()) {
         best_island = i;
       }
     }
     if (params_.migration > 0.0) {
       for (std::size_t i = 0; i < k; ++i) {
         if (i == best_island) continue;
-        islands[i].p.blend_from(islands[best_island].p, params_.migration);
+        islands[i].problem.p.blend_from(islands[best_island].problem.p,
+                                        params_.migration);
       }
     }
 
-    const double epoch_best = islands[best_island].best_cost;
+    const CeEngine<IslandProblem>& best_engine = islands[best_island].engine;
+    const double epoch_best = best_engine.best_cost();
     if (epoch_best < result.best_cost - 1e-12) {
       result.best_cost = epoch_best;
-      result.best_mapping = islands[best_island].best_mapping;
+      const auto best = best_engine.best();
+      result.best_mapping =
+          sim::Mapping(std::vector<graph::NodeId>(best.begin(), best.end()));
       stall = 0;
     } else {
       ++stall;
@@ -177,26 +192,27 @@ IslandResult IslandMatchOptimizer::run(const SolverContext& ctx) {
     probe.split("migrate");
     result.history.push_back(result.best_cost);
     result.epochs = epoch + 1;
-    if (iter_counter != nullptr) iter_counter->add();
-    ctx.emit(obs::Event::iteration_event(
-        ctx.run_id(), "island", epoch, 0.0, epoch_best, result.best_cost, 0.0,
-        0.0, 0.0, k));
+    // One event per epoch: the epoch's best island stands in for the
+    // batch (γ = iter_best = its best cost), elite_count = islands.
+    IterationStats stats;
+    stats.iteration = epoch;
+    stats.gamma = epoch_best;
+    stats.iter_best = epoch_best;
+    stats.best_so_far = result.best_cost;
+    stats.elite_count = k;
+    report_iteration(ctx, "island", stats, epoch_counter);
     if (stall >= params_.stall_epochs) break;
   }
 
-  if (result.epochs == 0 && !std::isfinite(result.best_cost)) {
-    // Cancelled before the first epoch: evaluate one draw from island 0
-    // so the result always carries a valid permutation.
-    GenPermSampler sampler(n);
-    std::vector<graph::NodeId> row(n);
+  if (result.epochs == 0) {
+    // Cancelled before the first epoch: one draw from island 0.
     rng::Rng local(rng.bits());
-    sampler.sample(islands[0].p, local, row);
-    result.best_cost = eval_->makespan(row);
-    result.best_mapping = sim::Mapping(std::move(row));
-    ctx.emit(obs::Event::fallback_draw(ctx.run_id(), "island"));
-    if (ctx.metrics() != nullptr) {
-      ctx.metrics()->counter("solver.fallback_draws").add();
-    }
+    CeEngine<IslandProblem>& first = islands[0].engine;
+    first.fallback(local, ctx);
+    result.best_cost = first.best_cost();
+    const auto best = first.best();
+    result.best_mapping =
+        sim::Mapping(std::vector<graph::NodeId>(best.begin(), best.end()));
   }
 
   result.iterations = result.epochs;

@@ -1,15 +1,11 @@
 #include "core/matchalgo.hpp"
 
-#include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <limits>
-#include <numeric>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
 #include "core/genperm.hpp"
-#include "obs/scoped_timer.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/scratch.hpp"
 #include "rng/splitmix64.hpp"
@@ -18,39 +14,10 @@ namespace match::core {
 
 void MatchParams::validate() const {
   validate_common("MatchParams");
-  if (stability_window == 0) {
-    throw std::invalid_argument("MatchParams: stability_window must be >= 1");
-  }
-  if (gamma_stall_window == 0) {
-    throw std::invalid_argument("MatchParams: gamma_stall_window must be >= 1");
-  }
-  if (stability_eps < 0.0 || degeneracy_eps <= 0.0) {
-    throw std::invalid_argument("MatchParams: bad epsilon");
-  }
+  validate_stop("MatchParams");
   if (dynamic_smoothing_q < 0.0) {
     throw std::invalid_argument("MatchParams: dynamic_smoothing_q < 0");
   }
-  if (max_iterations == 0) {
-    throw std::invalid_argument("MatchParams: max_iterations must be >= 1");
-  }
-}
-
-const char* to_string(StopReason reason) {
-  switch (reason) {
-    case StopReason::kRowMaxStable:
-      return "row-max-stable";
-    case StopReason::kDegenerate:
-      return "degenerate";
-    case StopReason::kGammaStable:
-      return "gamma-stable";
-    case StopReason::kMaxIterations:
-      return "max-iterations";
-    case StopReason::kCancelled:
-      return "cancelled";
-    case StopReason::kTargetReached:
-      return "target-reached";
-  }
-  return "unknown";
 }
 
 MatchOptimizer::MatchOptimizer(const sim::CostEvaluator& eval,
@@ -87,6 +54,111 @@ struct MatchWorker {
   explicit MatchWorker(std::size_t n) : sampler(n), row(n) {}
 };
 
+/// MaTCH as an engine problem (Fig. 5): GenPerm permutations drawn from
+/// P, evaluated by the batch kernel, elite frequencies blended into P.
+class MatchProblem {
+ public:
+  static constexpr EliteRule kElite = EliteRule::kThreshold;
+  static constexpr StallRule kStall = StallRule::kUnchanged;
+
+  MatchProblem(const sim::CostEvaluator& eval, const MatchParams& params,
+               StochasticMatrix p0, std::span<const graph::NodeId> pins,
+               const SolverContext& ctx)
+      : eval_(&eval),
+        params_(&params),
+        pins_(pins),
+        p_(std::move(p0)),
+        batch_eval_(eval, params.eval_backend),
+        workers_([n = p_.rows()] { return std::make_unique<MatchWorker>(n); }) {
+    // The backend is resolved once (kAuto -> feature probe) and reported
+    // once for metrics dashboards.
+    if (ctx.metrics() != nullptr) {
+      ctx.metrics()
+          ->counter(std::string("solver.backend.") + batch_eval_.backend_name())
+          .add();
+    }
+    opts_.pool = ctx.pool();
+    if (!params.parallel) {
+      // Force the serial path by raising the cutoff above any batch size.
+      opts_.serial_cutoff = std::numeric_limits<std::size_t>::max();
+    }
+  }
+
+  std::size_t sample_length() const { return p_.rows(); }
+  const StochasticMatrix& matrix() const { return p_; }
+  bool degenerate(double eps) const { return p_.is_degenerate(eps); }
+
+  /// Step 3 (Fig. 5): N GenPerm draws.  Each sample's RNG is seeded from
+  /// (iteration seed, lane) alone, so the batch does not depend on how
+  /// the draw or cost pass is chunked across threads.
+  void draw(sim::SampleBlock& block, rng::Rng& rng) {
+    const std::uint64_t iter_seed = rng.bits();
+    const bool use_alias = params_->sampler == SamplerBackend::kAlias;
+    // Alias tables are rebuilt from P once per iteration (O(n²), the cost
+    // of a single scan draw) and shared read-only across the batch.
+    if (use_alias) alias_tables_.build(p_);
+    parallel::parallel_for_chunked(
+        0, block.size(),
+        [&](std::size_t lo, std::size_t hi, std::size_t /*chunk*/) {
+          auto lease = workers_.acquire();
+          // The shuffled task order chains across draws; resetting it at
+          // chunk start keeps the stream independent of which pooled
+          // worker serves the chunk.
+          lease->sampler.reset_order();
+          for (std::size_t i = lo; i < hi; ++i) {
+            rng::Rng local(sample_seed(iter_seed, i));
+            if (use_alias) {
+              lease->sampler.sample(p_, alias_tables_, local, lease->row,
+                                    params_->random_task_order, pins_);
+            } else {
+              lease->sampler.sample(p_, local, lease->row,
+                                    params_->random_task_order, pins_);
+            }
+            block.store_sample(i, lease->row);
+          }
+        },
+        opts_);
+  }
+
+  /// The cancel fallback: one exact-scan GenPerm draw.
+  void draw(std::span<graph::NodeId> row, rng::Rng& rng) {
+    GenPermSampler sampler(row.size());
+    rng::Rng local(rng.bits());
+    sampler.sample(p_, local, row, params_->random_task_order, pins_);
+  }
+
+  void evaluate(const sim::SampleBlock& block, std::span<double> costs) {
+    batch_eval_.evaluate(block, costs, opts_);
+  }
+
+  /// The scalar reference kernel: SIMD sums reassociate on fractional
+  /// workloads, so the engine re-checks new bests here (a no-op on
+  /// integer ones).
+  double cost(std::span<const graph::NodeId> row) {
+    return eval_->makespan(row, load_);
+  }
+
+  /// Step 6 (eq. 11) and smoothing (eq. 13).
+  void update(const sim::SampleBlock& block, std::span<const std::size_t> elite,
+              double zeta) {
+    update_from_elite(p_, block, elite, zeta, counts_, opts_);
+  }
+
+ private:
+  const sim::CostEvaluator* eval_;
+  const MatchParams* params_;
+  std::span<const graph::NodeId> pins_;  ///< empty -> no pins
+  StochasticMatrix p_;
+  sim::BatchEvaluator batch_eval_;
+  // Per-worker state outlives the iteration loop, so samplers are built
+  // at most once per worker thread per run.
+  parallel::ScratchPool<MatchWorker> workers_;
+  RowAliasTables alias_tables_;
+  parallel::ForOptions opts_;
+  std::vector<double> counts_;
+  std::vector<double> load_;  ///< scalar recompute scratch
+};
+
 }  // namespace
 
 void MatchOptimizer::set_initial_matrix(StochasticMatrix p0) {
@@ -115,277 +187,19 @@ void MatchOptimizer::set_pin(graph::NodeId task, graph::NodeId resource) {
 void MatchOptimizer::clear_pins() { pins_.clear(); }
 
 MatchResult MatchOptimizer::run(const SolverContext& ctx) {
-  const auto t_start = std::chrono::steady_clock::now();
-  rng::Rng& rng = ctx.rng();
-  const std::size_t n = n_;
-  const std::size_t batch = sample_size_;
-
-  const match::StopFn& should_stop = ctx.stop_fn();
-  obs::PhaseProbe probe(ctx.sink(), ctx.metrics(), "match", ctx.run_id());
-  obs::Counter* iter_counter = ctx.metrics() != nullptr
-                                   ? &ctx.metrics()->counter("match.iterations")
-                                   : nullptr;
-  ctx.emit(obs::Event::run_start(ctx.run_id(), "match"));
-
-  StochasticMatrix p = initial_.rows() == n ? initial_
-                                            : StochasticMatrix::uniform(n, n);
-
-  // Samples live in SoA (transposed task-major) form for the whole
-  // iteration: GenPerm draws scatter in, the batch evaluator and the
-  // elite count both read task rows directly, and only the winning lane
-  // is ever gathered back out.
-  sim::SampleBlock block(n, batch);
-  std::vector<double> costs(batch);
-  std::vector<double> gamma_scratch(batch);  // nth_element workspace
-  std::vector<double> counts(n * n);
-  std::vector<graph::NodeId> best_row(n);
-  std::vector<double> load;  // scalar recompute scratch (serial use only)
-  std::vector<std::size_t> elite_idx;
-  elite_idx.reserve(batch);
-
-  // One batch evaluator for the whole run: the backend is resolved once
-  // (kAuto -> feature probe) and reported once for metrics dashboards.
-  sim::BatchEvaluator batch_eval(*eval_, params_.eval_backend);
-  if (ctx.metrics() != nullptr) {
-    ctx.metrics()
-        ->counter(std::string("solver.backend.") + batch_eval.backend_name())
-        .add();
-  }
-
-  // Per-worker state outlives the iteration loop, so samplers and
-  // scratch buffers are constructed at most once per worker thread for
-  // the whole run (not once per chunk per iteration).
-  parallel::ScratchPool<MatchWorker> workers(
-      [n] { return std::make_unique<MatchWorker>(n); });
-  // Alias tables for the kAlias backend: rebuilt from P once per
-  // iteration (O(n²), the cost of a *single* legacy draw) and shared
-  // read-only across the whole batch.
-  RowAliasTables alias_tables;
-  const bool use_alias = params_.sampler == SamplerBackend::kAlias;
-
-  MatchResult result;
-  result.best_cost = std::numeric_limits<double>::infinity();
-  result.history.reserve(64);
-
-  std::vector<double> prev_row_max(n, -1.0);
-  std::size_t stable_iters = 0;
-  double prev_gamma = std::numeric_limits<double>::quiet_NaN();
-  std::size_t gamma_stall = 0;
-
-  parallel::ForOptions for_opts;
-  for_opts.pool = ctx.pool();
-  if (!params_.parallel) {
-    // Force the serial path by raising the cutoff above any batch size.
-    for_opts.serial_cutoff = std::numeric_limits<std::size_t>::max();
-  }
-
-  for (std::size_t iter = 0; iter < params_.max_iterations; ++iter) {
-    if (should_stop && should_stop()) {
-      result.stop_reason = StopReason::kCancelled;
-      break;
-    }
-    probe.start_iteration(iter);
-    // --- Step 3 (Fig. 5): draw N mappings via GenPerm. -------------------
-    // Each sample's RNG is seeded from (iter_seed, i) alone and cost
-    // evaluation consumes no randomness, so the draw/cost phases are
-    // separate passes (the SoA block decouples them) yet produce the
-    // same samples and costs as the historical fused loop.
-    const std::uint64_t iter_seed = rng.bits();
-    if (use_alias) alias_tables.build(p);
-    parallel::parallel_for_chunked(
-        0, batch,
-        [&](std::size_t lo, std::size_t hi, std::size_t /*chunk*/) {
-          auto lease = workers.acquire();
-          // The legacy code constructed a fresh sampler per chunk, and
-          // the shuffled task order chains across draws; resetting it
-          // at the old construction point keeps the stream bit-exact
-          // and independent of which pooled worker serves the chunk.
-          lease->sampler.reset_order();
-          for (std::size_t i = lo; i < hi; ++i) {
-            rng::Rng local(sample_seed(iter_seed, i));
-            if (use_alias) {
-              lease->sampler.sample(p, alias_tables, local, lease->row,
-                                    params_.random_task_order, pins_);
-            } else {
-              lease->sampler.sample(p, local, lease->row,
-                                    params_.random_task_order, pins_);
-            }
-            block.store_sample(i, lease->row);
-          }
-        },
-        for_opts);
-    probe.split("draw");
-    batch_eval.evaluate(block, costs, for_opts);
-    probe.split("cost");
-
-    // --- Steps 4–5: pick the elite threshold γ. --------------------------
-    // γ is a single order statistic and the elite set below is selected
-    // by the `costs[i] <= gamma` indicator, so a full O(N log N) sort is
-    // wasted work: an O(N) selection yields the bit-identical γ.
-    const std::size_t rho_count = std::max<std::size_t>(
-        1, static_cast<std::size_t>(std::floor(params_.rho *
-                                               static_cast<double>(batch))));
-    const std::size_t kth =
-        params_.paper_literal_elite
-            // Literal Fig.-5 reading: sort descending, γ = s_{⌊ρN⌋}; with
-            // the S ≤ γ indicator this keeps ~(1-ρ)N samples (ablation
-            // only).
-            ? batch - 1 - std::min(rho_count, batch - 1)
-            : rho_count - 1;
-    std::copy(costs.begin(), costs.end(), gamma_scratch.begin());
-    std::nth_element(gamma_scratch.begin(),
-                     gamma_scratch.begin() + static_cast<std::ptrdiff_t>(kth),
-                     gamma_scratch.end());
-    const double gamma = gamma_scratch[kth];
-
-    // Iteration best by min-scan (smallest index wins ties, which makes
-    // the tie-break deterministic where an unstable sort's was not).
-    std::size_t best_index = 0;
-    for (std::size_t i = 1; i < batch; ++i) {
-      if (costs[i] < costs[best_index]) best_index = i;
-    }
-    const double iter_best = costs[best_index];
-    probe.split("sort");
-
-    if (iter_best < result.best_cost) {
-      // Gather the winning lane and recompute its cost with the scalar
-      // per-sample kernel, so `best_cost == makespan(best_mapping)`
-      // bit-exactly under every backend (SIMD sums reassociate on
-      // fractional workloads; on integer ones the recompute is a no-op).
-      block.load_sample(best_index, best_row);
-      const double exact = eval_->makespan(best_row, load);
-      if (exact < result.best_cost) {
-        result.best_cost = exact;
-        result.best_mapping = sim::Mapping(
-            std::vector<graph::NodeId>(best_row.begin(), best_row.end()));
-      }
-    }
-
-    // --- Step 6: re-estimate P from the elite set (eq. 11). --------------
-    // Collect the elite lane indices once, then accumulate counts
-    // task-major straight from the SoA block: task t's counts live in
-    // the disjoint slice counts[t*n, t*n + n), so the task-parallel loop
-    // needs no per-worker count buffers and no reduction — and every
-    // increment is an exact +1.0, so results are independent of
-    // chunking and thread timing.
-    elite_idx.clear();
-    for (std::size_t i = 0; i < batch; ++i) {
-      if (costs[i] <= gamma) elite_idx.push_back(i);
-    }
-    // elite >= 1 by construction of gamma.
-    const std::size_t elite = elite_idx.size();
-    std::fill(counts.begin(), counts.end(), 0.0);
-    parallel::parallel_for_chunked(
-        0, n,
-        [&](std::size_t t_lo, std::size_t t_hi, std::size_t /*chunk*/) {
-          for (std::size_t t = t_lo; t < t_hi; ++t) {
-            const graph::NodeId* row = block.task_row(t);
-            double* ct = counts.data() + t * n;
-            for (const std::size_t i : elite_idx) ct[row[i]] += 1.0;
-          }
-        },
-        for_opts);
-    for (double& c : counts) c /= static_cast<double>(elite);
-    // The counts were normalized right here, so skip the redundant
-    // O(n²) row-sum revalidation of the checked factory.
-    const StochasticMatrix q =
-        StochasticMatrix::from_values_unchecked(n, n, counts);
-
-    // --- Smoothing (eq. 13), optionally decayed over iterations. ---------
-    double zeta_k = params_.zeta;
-    if (params_.dynamic_smoothing_q > 0.0) {
-      const double k = static_cast<double>(iter + 1);
-      zeta_k = params_.zeta *
-               (1.0 - std::pow(1.0 - 1.0 / k, params_.dynamic_smoothing_q));
-      if (zeta_k <= 0.0) zeta_k = 1e-6;  // keep the blend well-defined
-    }
-    p.blend_from(q, zeta_k);
-    probe.split("update");
-
-    // One pass over the updated rows serves both the eq. (12) stability
-    // check and the row-max-mean telemetry field.
-    bool stable = true;
-    double row_max_sum = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double mu = p.row_max(i);
-      row_max_sum += mu;
-      if (std::abs(mu - prev_row_max[i]) > params_.stability_eps) {
-        stable = false;
-      }
-      prev_row_max[i] = mu;
-    }
-
-    IterationStats stats;
-    stats.iteration = iter;
-    stats.gamma = gamma;
-    stats.iter_best = iter_best;
-    stats.best_so_far = result.best_cost;
-    stats.mean_entropy = p.mean_entropy();
-    stats.min_row_max = p.min_row_max();
-    stats.row_max_mean = row_max_sum / static_cast<double>(n);
-    stats.elite_count = elite;
-    result.history.push_back(stats);
-    if (trace_) trace_(stats, p);
-    if (iter_counter != nullptr) iter_counter->add();
-    ctx.emit(obs::Event::iteration_event(
-        ctx.run_id(), "match", iter, gamma, iter_best, result.best_cost,
-        gamma - iter_best, stats.row_max_mean, stats.mean_entropy, elite));
-
-    result.iterations = iter + 1;
-
-    if (params_.target_cost > 0.0 && result.best_cost <= params_.target_cost) {
-      result.stop_reason = StopReason::kTargetReached;
-      break;
-    }
-
-    // --- Step 8: stopping criteria. ---------------------------------------
-    stable_iters = stable ? stable_iters + 1 : 0;
-
-    if (stable_iters >= params_.stability_window) {
-      result.stop_reason = StopReason::kRowMaxStable;
-      break;
-    }
-    if (p.is_degenerate(params_.degeneracy_eps)) {
-      result.stop_reason = StopReason::kDegenerate;
-      break;
-    }
-    gamma_stall = (std::abs(gamma - prev_gamma) <= params_.stability_eps)
-                      ? gamma_stall + 1
-                      : 0;
-    prev_gamma = gamma;
-    if (gamma_stall >= params_.gamma_stall_window) {
-      result.stop_reason = StopReason::kGammaStable;
-      break;
-    }
-    result.stop_reason = StopReason::kMaxIterations;
-  }
-
-  if (result.iterations == 0 &&
-      !std::isfinite(result.best_cost)) {
-    // Cancelled before the first batch: evaluate one GenPerm draw so the
-    // result always carries a valid permutation (service deadline
-    // contract; see core/stop.hpp).
-    GenPermSampler sampler(n);
-    std::vector<graph::NodeId> row(n);
-    rng::Rng local(rng.bits());
-    sampler.sample(p, local, row, params_.random_task_order, pins_);
-    result.best_cost = eval_->makespan(row);
-    result.best_mapping = sim::Mapping(std::move(row));
-    ctx.emit(obs::Event::fallback_draw(ctx.run_id(), "match"));
-    if (ctx.metrics() != nullptr) {
-      ctx.metrics()->counter("solver.fallback_draws").add();
-    }
-  }
-
-  result.cancelled = result.stop_reason == StopReason::kCancelled;
-  result.degenerate = result.stop_reason == StopReason::kDegenerate;
-  result.final_matrix = p;
-  result.elapsed_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t_start)
-          .count();
-  ctx.emit(obs::Event::run_end(ctx.run_id(), "match", result.iterations,
-                               result.best_cost, result.elapsed_seconds));
-  return result;
+  MatchProblem problem(
+      *eval_, params_,
+      initial_.rows() == n_ ? initial_ : StochasticMatrix::uniform(n_, n_),
+      pins_, ctx);
+  CeLoop loop{params_};
+  loop.solver = "match";
+  loop.lanes = sample_size_;
+  loop.rho = params_.rho;
+  loop.zeta = params_.zeta;
+  loop.dynamic_smoothing_q = params_.dynamic_smoothing_q;
+  loop.literal_elite = params_.paper_literal_elite;
+  loop.target_cost = params_.target_cost;
+  return detail::run_mapping(problem, loop, trace_, ctx);
 }
 
 }  // namespace match::core

@@ -1,9 +1,11 @@
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <vector>
 
+#include "core/ce_driver.hpp"
 #include "core/ce_params.hpp"
 #include "core/genperm.hpp"
 #include "core/run_summary.hpp"
@@ -17,51 +19,18 @@
 
 namespace match::core {
 
-/// Why a MaTCH run stopped.
-enum class StopReason {
-  kRowMaxStable,   ///< eq. (12): per-row maxima unchanged for `c` iterations
-  kDegenerate,     ///< every row collapsed onto one resource (Fig. 3 endpoint)
-  kGammaStable,    ///< Fig. 2 step 4: γ̂ unchanged for `k` iterations
-  kMaxIterations,  ///< safety cap reached
-  kCancelled,      ///< the caller's `should_stop` hook fired (deadline etc.)
-  kTargetReached,  ///< best-so-far reached `MatchParams::target_cost`
-};
-
-/// Human-readable name of a stop reason (for logs and bench output).
-const char* to_string(StopReason reason);
-
 /// Tunable parameters of the MaTCH heuristic.  Defaults reproduce the
 /// paper's published configuration.  The cross-solver knobs — `rho`,
 /// `zeta`, `sample_size` (0 → the paper's 2·n²), `parallel`,
 /// `target_cost`, `sampler`, `eval_backend` — live in the
-/// `core::CeCommonParams` base (core/ce_params.hpp); MaTCH consumes all
-/// of them.
-struct MatchParams : CeCommonParams {
+/// `core::CeCommonParams` base and the stop rules in the `CeStopParams`
+/// base (core/ce_params.hpp); MaTCH consumes all of them.
+struct MatchParams : CeCommonParams, CeStopParams {
   /// Dynamic smoothing exponent q (de Boer et al. §5 / Rubinstein): when
   /// > 0, the effective smoothing decays over iterations,
   /// ζ_k = ζ · (1 − (1 − 1/(k+1))^q), giving aggressive early updates
   /// and gentle late ones.  0 (default) keeps the paper's constant ζ.
   double dynamic_smoothing_q = 0.0;
-
-  /// The paper's `c`: iterations the per-row maxima must stay unchanged.
-  std::size_t stability_window = 5;
-
-  /// The paper's generic-CE stop (Fig. 2 step 4): iterations the elite
-  /// threshold γ̂ must stay unchanged.  Needed because eq. (12) alone
-  /// cannot fire on instances with several optimal mappings, where P
-  /// legitimately converges to a mixture over optima and the row maxima
-  /// keep fluctuating (see DESIGN.md §3).
-  std::size_t gamma_stall_window = 10;
-
-  /// Tolerance for "unchanged" in the stability check (the paper compares
-  /// floats for equality; see DESIGN.md).
-  double stability_eps = 1e-6;
-
-  /// ε for the degeneracy early-out: stop once every row max ≥ 1 − ε.
-  double degeneracy_eps = 1e-3;
-
-  /// Hard iteration cap.
-  std::size_t max_iterations = 1000;
 
   /// GenPerm visits tasks in random order (paper behavior).  Fixed order
   /// is exposed for the ablation study.
@@ -75,18 +44,6 @@ struct MatchParams : CeCommonParams {
 
   /// Throws `std::invalid_argument` when a field is out of range.
   void validate() const;
-};
-
-/// Per-iteration convergence record.
-struct IterationStats {
-  std::size_t iteration = 0;
-  double gamma = 0.0;          ///< elite threshold γ_k
-  double iter_best = 0.0;      ///< best cost in this batch
-  double best_so_far = 0.0;    ///< best cost over all batches
-  double mean_entropy = 0.0;   ///< mean row entropy of P (bits)
-  double min_row_max = 0.0;    ///< degeneracy measure of P
-  double row_max_mean = 0.0;   ///< mean over rows of max_j p_ij
-  std::size_t elite_count = 0;
 };
 
 /// Outcome of a MaTCH run.  `best_cost` (the makespan Exec^χ),
@@ -110,8 +67,10 @@ struct MatchResult : RunSummary {
 /// core::MatchResult r = matcher.run(match::SolverContext(rng));
 /// ```
 ///
-/// Runs are deterministic for a fixed seed, independent of the number of
-/// worker threads, and independent of whether telemetry is attached.
+/// Runs are deterministic for a fixed seed and thread-pool size, and
+/// independent of whether telemetry is attached.  The pool size still
+/// matters: GenPerm's task order restarts at each draw chunk, and the
+/// chunking follows the pool's thread count.
 class MatchOptimizer {
  public:
   /// Called after each iteration's matrix update with the current P;
@@ -168,5 +127,36 @@ class MatchOptimizer {
   StochasticMatrix initial_;          ///< empty -> uniform
   std::vector<graph::NodeId> pins_;   ///< empty -> no pins
 };
+
+namespace detail {
+
+/// Runs a mapping problem (MaTCH's or the general mapper's) through the
+/// engine and packages the `MatchResult`, bracketed by the run's
+/// `run_start` / `run_end` events.  `trace` sees each iteration with P.
+template <typename Problem>
+MatchResult run_mapping(Problem& problem, const CeLoop& loop,
+                        const MatchOptimizer::TraceFn& trace,
+                        const SolverContext& ctx) {
+  const auto t_start = std::chrono::steady_clock::now();
+  ctx.emit(obs::Event::run_start(ctx.run_id(), loop.solver));
+  CeResult ce = CeEngine<Problem>(problem, loop, ctx)
+                    .run(ctx, [&](const IterationStats& stats) {
+                      if (trace) trace(stats, problem.matrix());
+                    });
+  MatchResult result;
+  static_cast<RunSummary&>(result) = ce;
+  result.best_mapping = sim::Mapping(std::move(ce.best));
+  result.stop_reason = ce.stop_reason;
+  result.history = std::move(ce.history);
+  result.final_matrix = problem.matrix();
+  result.elapsed_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t_start)
+          .count();
+  ctx.emit(obs::Event::run_end(ctx.run_id(), loop.solver, result.iterations,
+                               result.best_cost, result.elapsed_seconds));
+  return result;
+}
+
+}  // namespace detail
 
 }  // namespace match::core

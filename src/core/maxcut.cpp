@@ -13,31 +13,31 @@ MaxCutProblem::MaxCutProblem(const graph::Graph& g) : g_(&g) {
   p_[0] = 0.0;  // symmetry breaking: node 0 always on side 0
 }
 
-MaxCutProblem::Sample MaxCutProblem::draw(rng::Rng& rng) const {
-  Sample s(p_.size());
+void MaxCutProblem::draw(std::span<graph::NodeId> side, rng::Rng& rng) const {
   for (std::size_t i = 0; i < p_.size(); ++i) {
-    s[i] = rng.bernoulli(p_[i]) ? 1 : 0;
+    side[i] = rng.bernoulli(p_[i]) ? 1 : 0;
   }
-  return s;
 }
 
-double MaxCutProblem::cut_weight(const Sample& s) const {
+double MaxCutProblem::cut_weight(std::span<const graph::NodeId> side) const {
   double w = 0.0;
   for (const graph::Edge& e : g_->edge_list()) {
-    if (s[e.u] != s[e.v]) w += e.weight;
+    if (side[e.u] != side[e.v]) w += e.weight;
   }
   return w;
 }
 
-double MaxCutProblem::cost(const Sample& s) const { return -cut_weight(s); }
+double MaxCutProblem::cost(std::span<const graph::NodeId> side) const {
+  return -cut_weight(side);
+}
 
-void MaxCutProblem::update(const std::vector<const Sample*>& elites,
-                           double zeta) {
-  if (elites.empty()) return;
-  const double inv = 1.0 / static_cast<double>(elites.size());
+void MaxCutProblem::update(const sim::SampleBlock& block,
+                           std::span<const std::size_t> elite, double zeta) {
+  const double inv = 1.0 / static_cast<double>(elite.size());
   for (std::size_t i = 1; i < p_.size(); ++i) {
+    const graph::NodeId* side = block.task_row(i);
     double freq = 0.0;
-    for (const Sample* s : elites) freq += static_cast<double>((*s)[i]);
+    for (const std::size_t lane : elite) freq += static_cast<double>(side[lane]);
     p_[i] = zeta * (freq * inv) + (1.0 - zeta) * p_[i];
   }
 }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "core/ce_driver.hpp"
@@ -15,21 +16,25 @@ namespace match::core {
 ///
 /// The pmf is a vector of independent Bernoulli parameters, one per node:
 /// `p_i` is the probability node i lands on side 1.  Node 0 is pinned to
-/// side 0 to quotient out the cut's mirror symmetry.  The driver
+/// side 0 to quotient out the cut's mirror symmetry.  The engine
 /// *minimizes*, so cost = −(cut weight).
 class MaxCutProblem {
  public:
-  using Sample = std::vector<char>;  ///< partition bits, size n
+  static constexpr EliteRule kElite = EliteRule::kQuantile;
+  static constexpr StallRule kStall = StallRule::kNoGain;
 
   explicit MaxCutProblem(const graph::Graph& g);
 
-  Sample draw(rng::Rng& rng) const;
-  double cost(const Sample& s) const;  ///< negative cut weight
-  void update(const std::vector<const Sample*>& elites, double zeta);
+  /// A sample is one side bit (0 or 1) per node.
+  std::size_t sample_length() const { return p_.size(); }
+  void draw(std::span<graph::NodeId> side, rng::Rng& rng) const;
+  double cost(std::span<const graph::NodeId> side) const;  ///< −cut weight
+  void update(const sim::SampleBlock& block, std::span<const std::size_t> elite,
+              double zeta);
   bool degenerate(double eps) const;
 
   /// Cut weight of a partition (the maximized quantity).
-  double cut_weight(const Sample& s) const;
+  double cut_weight(std::span<const graph::NodeId> side) const;
 
   const std::vector<double>& probabilities() const noexcept { return p_; }
 

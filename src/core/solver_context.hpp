@@ -22,7 +22,7 @@
 // Solvers accept `const SolverContext&`, so a temporary
 // `opt.run(match::SolverContext(rng))` works at call sites that only
 // have an RNG.  The old per-solver `(rng)` / `(rng, stop)` signatures
-// were removed after one deprecation release (see docs/MIGRATION.md).
+// are gone (tests/legacy_api_test.cpp pins that they no longer compile).
 
 #include <cstdint>
 #include <stdexcept>

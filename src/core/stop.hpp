@@ -3,10 +3,10 @@
 // The library-wide cooperative-cancellation hook.
 //
 // Historically every solver declared its own copy of this typedef
-// (`core::CeStopFn`, `core::MatchOptimizer::StopFn`,
-// `baselines::GaOptimizer::StopFn`, `service::StopFn`); they were all the
-// same `std::function<bool()>` with the same contract, so they now alias
-// the single `match::StopFn` defined here.
+// (`core::MatchOptimizer::StopFn`, `baselines::GaOptimizer::StopFn`,
+// `service::StopFn`); they were all the same `std::function<bool()>`
+// with the same contract, so they now alias the single `match::StopFn`
+// defined here.
 //
 // Contract: the hook is polled at iteration granularity (once per CE
 // iteration / GA generation / island epoch / local-search restart).

@@ -1,6 +1,7 @@
 #include "io/table.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
@@ -22,6 +23,13 @@ void Table::add_row(std::vector<std::string> cells) {
 std::string Table::num(double value, int precision) {
   std::ostringstream os;
   os << std::setprecision(precision) << value;
+  // The default float format turns scientific once the integer part has
+  // more digits than `precision` (56351 at 1 digit is "6e+04"); a table
+  // keeps every integer digit instead.
+  if (std::abs(value) >= 1.0 && os.str().find('e') != std::string::npos) {
+    os.str("");
+    os << std::fixed << std::setprecision(0) << value;
+  }
   return os.str();
 }
 

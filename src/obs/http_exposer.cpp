@@ -97,13 +97,16 @@ void HttpExposer::serve() {
       // Transient accept failure (e.g. EMFILE); keep listening.
       continue;
     }
-    handle_connection(client);
-    ::close(client);
+    const std::string response = respond(client);
+    // Booked before the response goes out: a client that has read its
+    // answer must already see itself counted.
     requests_.fetch_add(1, std::memory_order_relaxed);
+    write_all(client, response);
+    ::close(client);
   }
 }
 
-void HttpExposer::handle_connection(int client_fd) {
+std::string HttpExposer::respond(int client_fd) {
   // A slow or stuck client must not wedge the single accept thread.
   timeval timeout{};
   timeout.tv_sec = 5;
@@ -129,9 +132,7 @@ void HttpExposer::handle_connection(int client_fd) {
       std::string_view(request).substr(0, line_end);
   const std::size_t method_end = request_line.find(' ');
   if (method_end == std::string_view::npos) {
-    write_all(client_fd,
-              make_response(400, "Bad Request", "text/plain", "bad request\n"));
-    return;
+    return make_response(400, "Bad Request", "text/plain", "bad request\n");
   }
   const std::string_view method = request_line.substr(0, method_end);
   std::string_view target = request_line.substr(method_end + 1);
@@ -139,9 +140,8 @@ void HttpExposer::handle_connection(int client_fd) {
   target = target.substr(0, target.find('?'));  // ignore query strings
 
   if (method != "GET" && method != "HEAD") {
-    write_all(client_fd, make_response(405, "Method Not Allowed", "text/plain",
-                                       "only GET is served here\n"));
-    return;
+    return make_response(405, "Method Not Allowed", "text/plain",
+                         "only GET is served here\n");
   }
 
   std::string response;
@@ -182,7 +182,7 @@ void HttpExposer::handle_connection(int client_fd) {
   if (method == "HEAD") {
     response.resize(response.find("\r\n\r\n") + 4);
   }
-  write_all(client_fd, response);
+  return response;
 }
 
 }  // namespace match::obs

@@ -84,7 +84,8 @@ class HttpExposer {
   };
 
   void serve();
-  void handle_connection(int client_fd);
+  /// Reads one request from `client_fd` and renders its response.
+  std::string respond(int client_fd);
 
   Renderer render_metrics_;
   mutable std::mutex routes_mutex_;

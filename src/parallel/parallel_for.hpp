@@ -1,7 +1,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 
 #include "parallel/thread_pool.hpp"
@@ -58,24 +57,25 @@ void parallel_for_chunked(std::size_t first, std::size_t last, Body&& body,
   }
 #endif
 
-  std::atomic<std::size_t> remaining{chunk_count};
   std::mutex done_mutex;
   std::condition_variable done_cv;
+  std::size_t remaining = chunk_count;  // guarded by done_mutex
 
   for (std::size_t k = 0; k < chunk_count; ++k) {
     const std::size_t lo = first + k * chunk;
     const std::size_t hi = std::min(last, lo + chunk);
     pool.submit([&, lo, hi, k] {
       body(lo, hi, k);
-      if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lock(done_mutex);
-        done_cv.notify_all();
-      }
+      // Count down under the lock: the waiter cannot return (and destroy
+      // this frame's mutex and condition variable) before the last chunk
+      // has released it, so no worker touches them afterwards.
+      std::lock_guard<std::mutex> lock(done_mutex);
+      if (--remaining == 0) done_cv.notify_all();
     });
   }
 
   std::unique_lock<std::mutex> lock(done_mutex);
-  done_cv.wait(lock, [&] { return remaining.load(std::memory_order_acquire) == 0; });
+  done_cv.wait(lock, [&] { return remaining == 0; });
 }
 
 /// Element-wise parallel loop: runs `body(i)` for each i in [first, last).

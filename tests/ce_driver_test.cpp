@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <span>
 #include <vector>
 
 #include "core/maxcut.hpp"
@@ -31,31 +32,34 @@ TEST(CeDriverParams, ValidationCatchesBadValues) {
 }
 
 /// A trivial 1-D problem: minimize |x - 7| over integers 0..15 encoded as
-/// 4 Bernoulli bits.  Exercises the driver independent of max-cut.
+/// 4 Bernoulli bits.  Exercises the engine independent of max-cut.
 class BitIntegerProblem {
  public:
-  using Sample = std::vector<char>;
+  static constexpr EliteRule kElite = EliteRule::kQuantile;
+  static constexpr StallRule kStall = StallRule::kNoGain;
 
-  Sample draw(rng::Rng& rng) const {
-    Sample s(4);
+  std::size_t sample_length() const { return 4; }
+
+  void draw(std::span<graph::NodeId> s, rng::Rng& rng) const {
     for (int i = 0; i < 4; ++i) s[i] = rng.bernoulli(p_[i]) ? 1 : 0;
-    return s;
   }
 
-  static int value(const Sample& s) {
+  static int value(std::span<const graph::NodeId> s) {
     int v = 0;
-    for (int i = 0; i < 4; ++i) v |= s[i] << i;
+    for (int i = 0; i < 4; ++i) v |= static_cast<int>(s[i]) << i;
     return v;
   }
 
-  double cost(const Sample& s) const { return std::abs(value(s) - 7); }
+  double cost(std::span<const graph::NodeId> s) const {
+    return std::abs(value(s) - 7);
+  }
 
-  void update(const std::vector<const Sample*>& elites, double zeta) {
-    if (elites.empty()) return;
+  void update(const sim::SampleBlock& block, std::span<const std::size_t> elite,
+              double zeta) {
     for (int i = 0; i < 4; ++i) {
       double freq = 0.0;
-      for (const Sample* s : elites) freq += (*s)[i];
-      p_[i] = zeta * (freq / static_cast<double>(elites.size())) +
+      for (const std::size_t lane : elite) freq += block.task_row(i)[lane];
+      p_[i] = zeta * (freq / static_cast<double>(elite.size())) +
               (1.0 - zeta) * p_[i];
     }
   }
@@ -94,17 +98,22 @@ TEST(CeDriver, HistoryTracksBestSoFar) {
   }
 }
 
-/// Every sample costs the same, so the old elite rule `costs[i] <= gamma`
+/// Every sample costs the same, so the threshold rule `costs[i] <= gamma`
 /// would admit the entire batch; update() records what it actually gets.
 class ConstantCostProblem {
  public:
-  using Sample = int;
+  static constexpr EliteRule kElite = EliteRule::kQuantile;
+  static constexpr StallRule kStall = StallRule::kNoGain;
 
-  Sample draw(rng::Rng& rng) const { return static_cast<int>(rng.below(4)); }
-  double cost(const Sample&) const { return 1.0; }
+  std::size_t sample_length() const { return 1; }
+  void draw(std::span<graph::NodeId> s, rng::Rng& rng) const {
+    s[0] = static_cast<graph::NodeId>(rng.below(4));
+  }
+  double cost(std::span<const graph::NodeId>) const { return 1.0; }
 
-  void update(const std::vector<const Sample*>& elites, double /*zeta*/) {
-    elite_sizes.push_back(elites.size());
+  void update(const sim::SampleBlock&, std::span<const std::size_t> elite,
+              double /*zeta*/) {
+    elite_sizes.push_back(elite.size());
   }
 
   bool degenerate(double) const { return false; }
@@ -165,12 +174,13 @@ TEST(MaxCut, CutWeightIsCorrect) {
   const graph::Graph g = graph::Graph::from_edges(3, {}, edges);
   const MaxCutProblem problem(g);
   // Partition {0} vs {1,2}: cuts edges (0,1) and (0,2) = 6.
-  EXPECT_DOUBLE_EQ(problem.cut_weight({0, 1, 1}), 6.0);
+  using Sides = std::vector<graph::NodeId>;
+  EXPECT_DOUBLE_EQ(problem.cut_weight(Sides{0, 1, 1}), 6.0);
   // Partition {0,1} vs {2}: cuts (1,2) and (0,2) = 7.
-  EXPECT_DOUBLE_EQ(problem.cut_weight({0, 0, 1}), 7.0);
+  EXPECT_DOUBLE_EQ(problem.cut_weight(Sides{0, 0, 1}), 7.0);
   // Everything together: nothing cut.
-  EXPECT_DOUBLE_EQ(problem.cut_weight({0, 0, 0}), 0.0);
-  EXPECT_DOUBLE_EQ(problem.cost({0, 0, 1}), -7.0);
+  EXPECT_DOUBLE_EQ(problem.cut_weight(Sides{0, 0, 0}), 0.0);
+  EXPECT_DOUBLE_EQ(problem.cost(Sides{0, 0, 1}), -7.0);
 }
 
 TEST(MaxCut, BruteForceOnTriangle) {

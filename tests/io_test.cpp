@@ -37,6 +37,9 @@ TEST(Table, NumFormatsDoubles) {
   EXPECT_EQ(Table::num(4.7170001, 4), "4.717");
   EXPECT_EQ(Table::num(16585.0), "16585");
   EXPECT_EQ(Table::num(0.5, 2), "0.5");
+  // Integer digits are never rounded away into scientific notation.
+  EXPECT_EQ(Table::num(56351, 1), "56351");
+  EXPECT_EQ(Table::num(1234567, 2), "1234567");
 }
 
 TEST(Table, CsvOutput) {

@@ -1,15 +1,10 @@
-// Retirement tests for the pre-SolverContext entry points.  The
-// deprecated `(rng)` / `(rng, stop)` forwarders shipped for exactly one
-// release; this file pins that they are GONE — each requires-expression
-// asserts the legacy call does NOT compile anymore — while the stop-hook
-// type aliases (part of the supported API) keep working, and the
-// one-true SolverContext signature remains callable everywhere.
+// Every solver takes one `SolverContext`; the old `(rng)` / `(rng, stop)`
+// entry points are gone.  The static_asserts pin that each retired call
+// no longer compiles, and the tests run the context signature end to end.
 
 #include <gtest/gtest.h>
 
-#include <type_traits>
-#include <utility>
-#include <vector>
+#include <cstddef>
 
 #include "baselines/ga.hpp"
 #include "baselines/local_search.hpp"
@@ -17,6 +12,7 @@
 #include "core/general_match.hpp"
 #include "core/island.hpp"
 #include "core/matchalgo.hpp"
+#include "core/maxcut.hpp"
 #include "core/rematch.hpp"
 #include "core/solver_context.hpp"
 #include "rng/rng.hpp"
@@ -46,69 +42,22 @@ struct Fixture {
   }
 };
 
-// The stop-hook typedefs are supported API and must keep naming
-// match::StopFn.
-static_assert(std::is_same_v<core::CeStopFn, match::StopFn>);
-static_assert(std::is_same_v<core::MatchOptimizer::StopFn, match::StopFn>);
-static_assert(std::is_same_v<baselines::GaOptimizer::StopFn, match::StopFn>);
-static_assert(std::is_same_v<service::StopFn, match::StopFn>);
-
-// --- The retired signatures must NOT compile anymore. -------------------
-// Each probe is a requires-expression evaluated against the real types;
-// a revived forwarder turns one of these into `true` and fails the
-// static_assert, which is the whole point.
+// --- The retired pre-SolverContext signatures must NOT compile. --------
+// Each probe is a requires-expression against the real types (a concept,
+// since a requires-expression with invalid operands is a hard error
+// outside a template); a revived forwarder flips one static_assert.
 
 template <typename Opt>
 concept HasRunRng = requires(Opt opt, rng::Rng rng) { opt.run(rng); };
-
 template <typename Opt>
 concept HasSetShouldStop =
     requires(Opt opt, match::StopFn stop) { opt.set_should_stop(stop); };
-
-static_assert(!HasRunRng<core::MatchOptimizer>,
-              "MatchOptimizer::run(rng) was retired; use run(SolverContext)");
-static_assert(!HasRunRng<core::GeneralMatchOptimizer>);
-static_assert(!HasRunRng<core::IslandMatchOptimizer>);
-static_assert(!HasRunRng<baselines::GaOptimizer>);
-static_assert(!HasSetShouldStop<core::MatchOptimizer>,
-              "set_should_stop was retired; pass the hook via SolverContext");
-static_assert(!HasSetShouldStop<baselines::GaOptimizer>);
-
-/// Minimal CE problem for probing the run_ce surface.
-struct BitProblem {
-  using Sample = std::vector<char>;
-  Sample draw(rng::Rng& rng) const {
-    Sample s(4);
-    for (auto& b : s) b = rng.bernoulli(0.5) ? 1 : 0;
-    return s;
-  }
-  double cost(const Sample& s) const {
-    double ones = 0.0;
-    for (char b : s) ones += b;
-    return static_cast<double>(s.size()) - ones;
-  }
-  void update(const std::vector<const Sample*>&, double) {}
-  bool degenerate(double) const { return false; }
-};
-
-template <typename Problem>
-concept HasRunCeRng = requires(Problem problem, core::CeDriverParams params,
+template <typename P>
+concept HasRunCeRng = requires(P problem, core::CeDriverParams params,
                                rng::Rng rng) {
   core::run_ce(problem, params, rng);
-};
-
-template <typename Problem>
-concept HasRunCeRngStop =
-    requires(Problem problem, core::CeDriverParams params, rng::Rng rng,
-             match::StopFn stop) { core::run_ce(problem, params, rng, stop); };
-
-static_assert(!HasRunCeRng<BitProblem>,
-              "run_ce(problem, params, rng) was retired");
-static_assert(!HasRunCeRngStop<BitProblem>);
-
-// Requires-expressions with invalid operands are a hard error outside a
-// template, so each free-function probe is a (trivially instantiated)
-// concept like the member probes above.
+} || requires(P problem, core::CeDriverParams params, rng::Rng rng,
+              match::StopFn stop) { core::run_ce(problem, params, rng, stop); };
 template <typename E>
 concept HasRandomSearchRng = requires(const E& eval, rng::Rng rng) {
   baselines::random_search(eval, std::size_t{10}, rng);
@@ -135,15 +84,16 @@ concept HasSolveStopFn =
     };
 
 using Eval = sim::CostEvaluator;
-
-static_assert(!HasRandomSearchRng<Eval>,
-              "random_search(eval, budget, rng) was retired");
-static_assert(!HasHillClimbRng<Eval>);
-static_assert(!HasSimulatedAnnealingRng<Eval>);
-static_assert(!HasRematchRng<Eval>,
-              "rematch(eval, mapping, params, rng) was retired");
-static_assert(!HasSolveStopFn<service::Solver>,
-              "Solver::solve(instance, options, StopFn) was retired");
+static_assert(!HasRunRng<core::MatchOptimizer> &&
+              !HasRunRng<core::GeneralMatchOptimizer> &&
+              !HasRunRng<core::IslandMatchOptimizer> &&
+              !HasRunRng<baselines::GaOptimizer>);
+static_assert(!HasSetShouldStop<core::MatchOptimizer> &&
+              !HasSetShouldStop<baselines::GaOptimizer>);
+static_assert(!HasRunCeRng<core::MaxCutProblem>);
+static_assert(!HasRandomSearchRng<Eval> && !HasHillClimbRng<Eval> &&
+              !HasSimulatedAnnealingRng<Eval> && !HasRematchRng<Eval>);
+static_assert(!HasSolveStopFn<service::Solver>);
 
 // --- And the one-true signature still works end to end. -----------------
 

@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -292,26 +293,27 @@ TEST(ScopedTimer, RecordsIntoHistogramAndSink) {
 /// small enough that a traced-vs-untraced comparison runs in microseconds.
 class BitIntegerProblem {
  public:
-  using Sample = std::vector<char>;
+  static constexpr core::EliteRule kElite = core::EliteRule::kQuantile;
+  static constexpr core::StallRule kStall = core::StallRule::kNoGain;
 
-  Sample draw(rng::Rng& rng) const {
-    Sample s(4);
+  std::size_t sample_length() const { return 4; }
+
+  void draw(std::span<graph::NodeId> s, rng::Rng& rng) const {
     for (int i = 0; i < 4; ++i) s[i] = rng.bernoulli(p_[i]) ? 1 : 0;
-    return s;
   }
 
-  double cost(const Sample& s) const {
+  double cost(std::span<const graph::NodeId> s) const {
     int v = 0;
-    for (int i = 0; i < 4; ++i) v |= s[i] << i;
+    for (int i = 0; i < 4; ++i) v |= static_cast<int>(s[i]) << i;
     return std::abs(v - 7);
   }
 
-  void update(const std::vector<const Sample*>& elites, double zeta) {
-    if (elites.empty()) return;
+  void update(const sim::SampleBlock& block, std::span<const std::size_t> elite,
+              double zeta) {
     for (int i = 0; i < 4; ++i) {
       double freq = 0.0;
-      for (const Sample* s : elites) freq += (*s)[i];
-      p_[i] = zeta * (freq / static_cast<double>(elites.size())) +
+      for (const std::size_t lane : elite) freq += block.task_row(i)[lane];
+      p_[i] = zeta * (freq / static_cast<double>(elite.size())) +
               (1.0 - zeta) * p_[i];
     }
   }
