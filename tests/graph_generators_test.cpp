@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "graph/algorithms.hpp"
@@ -178,7 +179,7 @@ TEST(Generators, DifferentSeedsDiffer) {
                make_gnp(25, 0.4, {1, 9}, {1, 99}, b));
 }
 
-using TopologyParam = std::tuple<const char*, std::size_t>;
+using TopologyParam = std::tuple<std::string, std::size_t>;
 
 class TopologyWeightTest : public ::testing::TestWithParam<TopologyParam> {};
 
@@ -187,16 +188,15 @@ TEST_P(TopologyWeightTest, WeightsRespectRanges) {
   rng::Rng rng(99);
   const WeightRange node_w{2, 7}, edge_w{30, 40};
   Graph g;
-  const std::string k = kind;
-  if (k == "complete") {
+  if (kind == "complete") {
     g = make_complete(n, node_w, edge_w, rng);
-  } else if (k == "ring") {
+  } else if (kind == "ring") {
     g = make_ring(n, node_w, edge_w, rng);
-  } else if (k == "star") {
+  } else if (kind == "star") {
     g = make_star(n, node_w, edge_w, rng);
-  } else if (k == "gnp") {
+  } else if (kind == "gnp") {
     g = make_gnp(n, 0.5, node_w, edge_w, rng);
-  } else if (k == "clustered") {
+  } else if (kind == "clustered") {
     g = make_clustered(n, 3, 0.7, 0.2, node_w, edge_w, rng);
   } else {
     g = make_barabasi_albert(n, 2, node_w, edge_w, rng);

@@ -18,7 +18,7 @@
 namespace match {
 namespace {
 
-using Param = std::tuple<const char*, std::size_t>;
+using Param = std::tuple<std::string, std::size_t>;
 
 graph::Graph make_topology(const std::string& kind, std::size_t n,
                            rng::Rng& rng) {
@@ -45,9 +45,8 @@ TEST_P(TopologyPipelineTest, FullStackInvariantsHold) {
 
   // Platform: the requested topology; complete graphs use direct links,
   // everything else routes over shortest paths.
-  const std::string topo = kind;
-  const graph::ResourceGraph resources(make_topology(topo, n, rng));
-  const sim::CommCostPolicy policy = topo == "complete"
+  const graph::ResourceGraph resources(make_topology(kind, n, rng));
+  const sim::CommCostPolicy policy = kind == "complete"
                                          ? sim::CommCostPolicy::kDirectLinks
                                          : sim::CommCostPolicy::kShortestPath;
   const sim::Platform platform(resources, policy);
@@ -94,7 +93,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          "ba", "geometric"),
                        ::testing::Values(std::size_t{8}, std::size_t{16})),
     [](const ::testing::TestParamInfo<Param>& info) {
-      return std::string(std::get<0>(info.param)) + "_" +
+      return std::get<0>(info.param) + "_" +
              std::to_string(std::get<1>(info.param));
     });
 
