@@ -113,8 +113,8 @@ DagCeResult solve_dag_ce(const sim::ScheduleEvaluator& eval,
 
   DagPriorityProblem problem(eval, params, ctx);
   if (ctx.metrics() != nullptr) {
-    // Book the evaluator's resolved kernel so operators can see which
-    // backend actually served the run (same booking as matchalgo/ga).
+    // Book the kernel that served the run (same booking as matchalgo/ga);
+    // priority mode is scalar whatever `eval_backend` asks for.
     ctx.metrics()
         ->counter(std::string("solver.backend.") + eval.backend_name())
         .add();

@@ -32,12 +32,9 @@ namespace match::core {
 /// paper's 2n² batch would overspend.  `parallel` spreads each batch's
 /// cost pass across the context's thread pool (lane results are
 /// thread-count-independent, so parallel and serial runs agree exactly).
-/// `eval_backend` is consumed where the `ScheduleEvaluator` is built —
-/// the service layer threads it into the evaluator's constructor — and
-/// the resolved choice is reported via the `solver.backend.<name>`
-/// metric; it selects the assignment-mode SIMD kernel, while this
-/// solver's priority-mode cost pass keeps scalar lanes (the
-/// insertion-EFT gap scan resists vectorization).
+/// `eval_backend` is ignored: the priority-mode cost pass always runs
+/// scalar lanes (the insertion-EFT gap scan resists vectorization), and
+/// the run books `solver.backend.scalar` whatever the field says.
 struct DagCeParams : CeCommonParams {
   std::size_t max_iterations = 200;
   std::size_t gamma_stall_window = 10;

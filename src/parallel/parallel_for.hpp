@@ -9,17 +9,13 @@ namespace match::parallel {
 
 /// Controls how a `parallel_for` range is split across workers.
 struct ForOptions {
-  /// Minimum iterations per chunk; below `serial_cutoff` total iterations
-  /// the loop runs inline on the calling thread.
+  /// Minimum iterations per chunk; at or below `serial_cutoff` total
+  /// iterations the loop runs inline on the calling thread and touches
+  /// no pool at all.
   std::size_t grain = 64;
   std::size_t serial_cutoff = 256;
   /// Pool to run on; nullptr selects the process-global pool.
   ThreadPool* pool = nullptr;
-  /// Dispatch chunks via OpenMP instead of the thread pool when the
-  /// library was built with OpenMP support (no-op otherwise).  Results
-  /// are identical either way — chunking is deterministic and bodies are
-  /// data-independent; this only changes which runtime runs them.
-  bool prefer_openmp = false;
 };
 
 /// Runs `body(begin, end)` over disjoint sub-ranges of [first, last) in
@@ -34,28 +30,20 @@ void parallel_for_chunked(std::size_t first, std::size_t last, Body&& body,
                           const ForOptions& opts = {}) {
   if (first >= last) return;
   const std::size_t n = last - first;
-  ThreadPool& pool = opts.pool ? *opts.pool : ThreadPool::global();
-  if (n <= opts.serial_cutoff || pool.thread_count() <= 1) {
+  // Test the cutoff before resolving the pool: a loop forced serial must
+  // not construct the process-global pool as a side effect.
+  ThreadPool* pool = nullptr;
+  if (n > opts.serial_cutoff) {
+    pool = opts.pool ? opts.pool : &ThreadPool::global();
+  }
+  if (pool == nullptr || pool->thread_count() <= 1) {
     body(first, last, /*chunk_index=*/std::size_t{0});
     return;
   }
 
-  const std::size_t target_chunks = pool.thread_count() * 4;
+  const std::size_t target_chunks = pool->thread_count() * 4;
   std::size_t chunk = std::max<std::size_t>(opts.grain, (n + target_chunks - 1) / target_chunks);
   const std::size_t chunk_count = (n + chunk - 1) / chunk;
-
-#if defined(MATCH_HAVE_OPENMP)
-  if (opts.prefer_openmp) {
-    const auto count = static_cast<std::ptrdiff_t>(chunk_count);
-#pragma omp parallel for schedule(dynamic, 1)
-    for (std::ptrdiff_t k = 0; k < count; ++k) {
-      const std::size_t lo = first + static_cast<std::size_t>(k) * chunk;
-      const std::size_t hi = std::min(last, lo + chunk);
-      body(lo, hi, static_cast<std::size_t>(k));
-    }
-    return;
-  }
-#endif
 
   std::mutex done_mutex;
   std::condition_variable done_cv;
@@ -64,7 +52,7 @@ void parallel_for_chunked(std::size_t first, std::size_t last, Body&& body,
   for (std::size_t k = 0; k < chunk_count; ++k) {
     const std::size_t lo = first + k * chunk;
     const std::size_t hi = std::min(last, lo + chunk);
-    pool.submit([&, lo, hi, k] {
+    pool->submit([&, lo, hi, k] {
       body(lo, hi, k);
       // Count down under the lock: the waiter cannot return (and destroy
       // this frame's mutex and condition variable) before the last chunk

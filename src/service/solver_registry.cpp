@@ -244,8 +244,7 @@ class DagCeSolver final : public Solver {
                      const match::SolverContext& ctx) const override {
     const workload::DagInstance& instance = any.dag();
     const sim::Platform platform = instance.make_platform();
-    const sim::ScheduleEvaluator eval(instance.dag, platform,
-                                      defaults_.eval_backend);
+    const sim::ScheduleEvaluator eval(instance.dag, platform);
 
     core::DagCeParams params;
     static_cast<core::CeCommonParams&>(params) = defaults_;

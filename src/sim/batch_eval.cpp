@@ -198,23 +198,4 @@ void BatchEvaluator::evaluate(const SampleBlock& block, std::span<double> out,
       opts);
 }
 
-void BatchEvaluator::evaluate_rows(std::span<const graph::NodeId> rows,
-                                   std::size_t count, std::span<double> out,
-                                   const parallel::ForOptions& opts) const {
-  const std::size_t n = eval_->num_tasks();
-  if (rows.size() < count * n || out.size() < count) {
-    throw std::invalid_argument("BatchEvaluator::evaluate_rows: buffer sizes");
-  }
-  if (count == 0) return;
-  parallel::parallel_for_chunked(
-      0, count,
-      [&](std::size_t lo, std::size_t hi, std::size_t /*chunk*/) {
-        auto lease = scratch_.acquire();
-        for (std::size_t i = lo; i < hi; ++i) {
-          out[i] = eval_->makespan(rows.subspan(i * n, n), lease->load);
-        }
-      },
-      opts);
-}
-
 }  // namespace match::sim

@@ -148,8 +148,8 @@ struct VectorEdgeTables {
 
 }  // namespace detail
 
-/// The one batch-evaluation entry point: every batch call site in the
-/// library (the CE fused loop, the GA population, `makespans_batch`)
+/// The one batch-evaluation entry point: every TIG batch call site in
+/// the library (the CE fused loop, the GA population, island epochs)
 /// funnels through here.  Construction resolves the backend once —
 /// against the feature probe and the evaluator's comm-matrix symmetry
 /// (the vector kernels stream undirected edges, so an asymmetric matrix
@@ -173,14 +173,6 @@ class BatchEvaluator {
   /// task-count mismatch or an undersized `out`.
   void evaluate(const SampleBlock& block, std::span<double> out,
                 const parallel::ForOptions& opts = {}) const;
-
-  /// AoS convenience: rows are contiguous `num_tasks()`-entry
-  /// assignments.  Always runs the scalar reference kernel (this is the
-  /// thin adapter `CostEvaluator::makespans_batch` forwards to); the
-  /// SoA `evaluate` above is the SIMD-capable path.
-  void evaluate_rows(std::span<const graph::NodeId> rows, std::size_t count,
-                     std::span<double> out,
-                     const parallel::ForOptions& opts = {}) const;
 
   const CostEvaluator& evaluator() const noexcept { return *eval_; }
 

@@ -3,8 +3,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "sim/batch_eval.hpp"
-
 namespace match::sim {
 
 CostEvaluator::CostEvaluator(const graph::Tig& tig, const Platform& platform)
@@ -134,13 +132,6 @@ EvalResult CostEvaluator::evaluate(const Mapping& m) const {
     }
   }
   return out;
-}
-
-void CostEvaluator::makespans_batch(std::span<const graph::NodeId> rows,
-                                    std::size_t count, std::span<double> out,
-                                    const parallel::ForOptions& opts) const {
-  BatchEvaluator scalar(*this, EvalBackend::kScalar);
-  scalar.evaluate_rows(rows, count, out, opts);
 }
 
 LoadTracker::LoadTracker(const CostEvaluator& eval, const Mapping& initial)

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "parallel/parallel_for.hpp"
 #include "sim/mapping.hpp"
 #include "sim/platform.hpp"
 
@@ -36,8 +35,8 @@ struct EvalResult {
 };
 
 /// Evaluates the paper's cost model (eqs. (1)–(2)) for a TIG on a
-/// Platform.  Stateless and thread-safe; the batch entry points use the
-/// library thread pool.
+/// Platform.  Stateless and thread-safe; batches of samples go through
+/// `sim::BatchEvaluator` (sim/batch_eval.hpp).
 class CostEvaluator {
  public:
   CostEvaluator(const graph::Tig& tig, const Platform& platform);
@@ -65,15 +64,6 @@ class CostEvaluator {
 
   /// Full per-resource breakdown.
   EvalResult evaluate(const Mapping& m) const;
-
-  /// Batch evaluation: out[i] = makespan(assignments row i).  Rows are
-  /// contiguous blocks of `num_tasks()` entries.  Thin adapter over the
-  /// scalar `sim::BatchEvaluator` backend (bit-identical to calling
-  /// `makespan` per row); SoA call sites should hold a `BatchEvaluator`
-  /// directly, which is also how the SIMD backends are reached.
-  void makespans_batch(std::span<const graph::NodeId> rows, std::size_t count,
-                       std::span<double> out,
-                       const parallel::ForOptions& opts = {}) const;
 
   const graph::Tig& tig() const noexcept { return *tig_; }
   const Platform& platform() const noexcept { return *platform_; }

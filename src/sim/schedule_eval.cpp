@@ -23,12 +23,10 @@ double time_tol(double scale) { return 1e-9 * (1.0 + std::abs(scale)); }
 }  // namespace
 
 ScheduleEvaluator::ScheduleEvaluator(const graph::Dag& dag,
-                                     const Platform& platform,
-                                     EvalBackend backend)
+                                     const Platform& platform)
     : dag_(&dag),
       platform_(&platform),
       topo_order_(graph::topological_order(dag)),
-      backend_(resolve_eval_backend(backend)),
       pool_([] { return std::make_unique<BatchScratch>(); }) {
   if (platform.num_resources() == 0) {
     throw std::invalid_argument("ScheduleEvaluator: empty platform");
@@ -36,31 +34,15 @@ ScheduleEvaluator::ScheduleEvaluator(const graph::Dag& dag,
   const std::size_t n = dag.num_nodes();
   const std::size_t nr = platform.num_resources();
 
-  // exec_[t·nr + r] = W_t · w_r, built once: the scalar recurrences trade
-  // a multiply for a load, the SIMD kernels get a gatherable row per
-  // task, and upward_ranks reads row means off the same table.
+  // exec_[t·nr + r] = W_t · w_r, built once: the recurrences trade a
+  // multiply for a load, and upward_ranks reads row means off the same
+  // table.
   exec_.resize(n * nr);
   for (std::size_t t = 0; t < n; ++t) {
     const double w = dag.node_weight(static_cast<NodeId>(t));
     for (std::size_t r = 0; r < nr; ++r) {
       exec_[t * nr + r] = w * platform.processing_cost(static_cast<NodeId>(r));
     }
-  }
-
-  // Flatten the predecessor lists in topological order so the batch
-  // kernels walk one linear stream (offsets are topo-position-indexed).
-  pred_off_.resize(n + 1);
-  pred_off_[0] = 0;
-  std::size_t num_preds = 0;
-  for (const NodeId t : topo_order_) num_preds += dag.predecessors(t).size();
-  pred_id_.reserve(num_preds);
-  pred_w_.reserve(num_preds);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (const auto& p : dag.predecessors(topo_order_[i])) {
-      pred_id_.push_back(p.id);
-      pred_w_.push_back(p.weight);
-    }
-    pred_off_[i + 1] = static_cast<std::uint32_t>(pred_id_.size());
   }
 }
 
@@ -270,63 +252,6 @@ std::vector<double> ScheduleEvaluator::upward_ranks() const {
     rank[t] = mean_w + tail;
   }
   return rank;
-}
-
-void ScheduleEvaluator::makespans_batch(const SampleBlock& block,
-                                        std::span<double> out,
-                                        const parallel::ForOptions& opts) const {
-  if (block.num_tasks() != num_tasks()) {
-    throw std::invalid_argument(
-        "ScheduleEvaluator::makespans_batch: task-count mismatch");
-  }
-  if (out.size() < block.size()) {
-    throw std::invalid_argument(
-        "ScheduleEvaluator::makespans_batch: output too small");
-  }
-  // Validate every lane's resource ids serially up front: thread-pool
-  // tasks must not throw (parallel/thread_pool.hpp), so the kernels below
-  // run on known-good data.  Padding lanes are zero-filled, so scanning
-  // whole task rows (stride included) is safe — and the scan is a plain
-  // unsigned max-reduction the compiler vectorizes on its own.
-  const std::size_t nr = num_resources();
-  if (block.num_tasks() > 0) {
-    const NodeId* data = block.task_row(0);
-    const std::size_t total = block.num_tasks() * block.lane_stride();
-    NodeId max_id = 0;
-    for (std::size_t i = 0; i < total; ++i) max_id = std::max(max_id, data[i]);
-    if (max_id >= nr) {
-      throw std::invalid_argument(
-          "ScheduleEvaluator::makespans_batch: resource id out of range");
-    }
-  }
-  parallel::parallel_for_chunked(
-      0, block.size(),
-      [&](std::size_t lo, std::size_t hi, std::size_t) {
-        auto lease = pool_.acquire();
-        switch (backend_) {
-          case EvalBackend::kAvx2:
-            detail::schedule_eval_avx2_range(*this, block, lo, hi,
-                                             lease->lanes, out.data());
-            break;
-          case EvalBackend::kAvx512:
-            detail::schedule_eval_avx512_range(*this, block, lo, hi,
-                                               lease->lanes, out.data());
-            break;
-          case EvalBackend::kNeon:
-            detail::schedule_eval_neon_range(*this, block, lo, hi,
-                                             lease->lanes, out.data());
-            break;
-          default: {
-            lease->row.resize(num_tasks());
-            for (std::size_t i = lo; i < hi; ++i) {
-              block.load_sample(i, lease->row);
-              out[i] = makespan(lease->row, lease->sched);
-            }
-            break;
-          }
-        }
-      },
-      opts);
 }
 
 void ScheduleEvaluator::priority_makespans_batch(

@@ -9,11 +9,11 @@
 // makespan is the largest task *finish time* of an actual schedule, not a
 // load maximum.  `ScheduleEvaluator` provides that model in two modes:
 //
-//  * assignment mode (`makespan`): the CE/GA samplers hand a task →
-//    resource assignment; tasks execute in the canonical topological
-//    order, each starting at max(resource free, data ready).  This is the
-//    deterministic "given this placement, how long does it run" cost the
-//    existing samplers can optimize directly.
+//  * assignment mode (`makespan`): the caller hands a task → resource
+//    assignment; tasks execute in the canonical topological order, each
+//    starting at max(resource free, data ready).  This is the
+//    deterministic "given this placement, how long does it run" cost a
+//    mapper that outputs assignments can optimize directly.
 //
 //  * priority mode (`schedule_priorities`): HEFT-class list scheduling —
 //    the caller hands a *priority permutation*; tasks are popped from the
@@ -24,14 +24,9 @@
 //
 // Both modes follow the caller-scratch discipline of `CostEvaluator`:
 // `Scratch` buffers are sized on first use and fully overwritten, so the
-// steady state allocates nothing.  The `SampleBlock` batch entry points
-// mirror `BatchEvaluator`: assignment mode dispatches to lane-parallel
-// SIMD kernels (AVX2 / AVX-512 / NEON, resolved once at construction) —
-// the schedule recurrence is sequential over *tasks* but embarrassingly
-// parallel over *lanes*, so the kernels walk the topological order once
-// and advance `kLaneGroup` samples per step.  Priority mode keeps scalar
-// lanes (the busy-list gap scan genuinely resists vectorization); both
-// modes additionally spread lanes across the thread pool.
+// steady state allocates nothing.  Priority mode, the one DAG CE runs,
+// also has a `SampleBlock` batch entry point: scalar lanes (the busy-list
+// gap scan resists vectorization) spread across the thread pool.
 
 #include <cstddef>
 #include <cstdint>
@@ -56,40 +51,20 @@ struct Schedule {
   double makespan = 0.0;
 };
 
-namespace detail {
-
-/// Per-worker lane-transposed scratch for the SIMD schedule kernels:
-/// `finish` is task-major (`finish[t * kLaneGroup + l]`), `avail` is
-/// resource-major (`avail[r * kLaneGroup + l]`).  Buffers are sized on
-/// first use (with alignment headroom) and fully overwritten per lane
-/// group, so the steady state is allocation-free.
-struct ScheduleLaneScratch {
-  std::vector<double> finish;  ///< num_tasks × kLaneGroup (+ align pad)
-  std::vector<double> avail;   ///< num_resources × kLaneGroup (+ align pad)
-};
-
-}  // namespace detail
-
 class ScheduleEvaluator {
  public:
-  /// `backend` selects the assignment-mode batch kernel, resolved once at
-  /// construction exactly like `BatchEvaluator`: `kAuto` picks the widest
-  /// compiled-in backend the CPU supports, and an unavailable explicit
-  /// choice degrades to `kScalar` (portable configs degrade, never
-  /// throw).  The scalar entry points (`makespan`, `schedule_priorities`)
-  /// and the priority batch path are backend-independent.
-  ScheduleEvaluator(const graph::Dag& dag, const Platform& platform,
-                    EvalBackend backend = EvalBackend::kAuto);
+  ScheduleEvaluator(const graph::Dag& dag, const Platform& platform);
 
   std::size_t num_tasks() const noexcept { return dag_->num_nodes(); }
   std::size_t num_resources() const noexcept {
     return platform_->num_resources();
   }
 
-  /// The resolved backend (never `kAuto`) and its stable name, reported
-  /// via the `solver.backend.<name>` metric by the DAG solvers.
-  EvalBackend backend() const noexcept { return backend_; }
-  const char* backend_name() const noexcept { return to_string(backend_); }
+  /// Name of the kernel every entry point runs, reported via the
+  /// `solver.backend.<name>` metric by the DAG solvers: always "scalar".
+  const char* backend_name() const noexcept {
+    return to_string(EvalBackend::kScalar);
+  }
 
   /// Caller-owned scratch: every buffer is (re)sized on first use with
   /// this evaluator's geometry and fully overwritten per call, so one
@@ -140,19 +115,10 @@ class ScheduleEvaluator {
   /// the HEFT priority (see baselines/heft.hpp).
   std::vector<double> upward_ranks() const;
 
-  /// Batch entry points over `SampleBlock` lanes (same layout the CE
-  /// fused loop already produces): out[i] = cost of lane i.
-  /// `makespans_batch` dispatches to the resolved SIMD backend (globally
-  /// aligned lane groups, so results are chunking- and thread-count-
-  /// independent and bit-identical to the scalar kernel — the schedule
-  /// recurrence is pure max/mul/add with no reassociation, and the
-  /// kernels never fuse the multiply-add).  Resource ids are validated
-  /// serially up front (worker tasks must not throw).
-  /// `priority_makespans_batch` runs scalar lanes over pooled scratch —
-  /// the insertion-EFT gap scan resists vectorization — and parallelizes
-  /// across the lane dimension only.
-  void makespans_batch(const SampleBlock& block, std::span<double> out,
-                       const parallel::ForOptions& opts = {}) const;
+  /// Priority mode over `SampleBlock` lanes (same layout the CE fused
+  /// loop already produces): out[i] = `schedule_priorities` of lane i.
+  /// Scalar lanes over pooled scratch, parallel across lanes only, so
+  /// results do not depend on thread count or chunk geometry.
   void priority_makespans_batch(const SampleBlock& block,
                                 std::span<double> out,
                                 const parallel::ForOptions& opts = {}) const;
@@ -167,68 +133,25 @@ class ScheduleEvaluator {
 
   /// Precomputed task × resource execution costs, row-major:
   /// `exec_costs()[t * num_resources() + r]` = node_weight(t) ·
-  /// processing_cost(r).  Built once at construction and shared by the
-  /// scalar paths, `upward_ranks`, HEFT, and the SIMD kernels.
+  /// processing_cost(r).  Built once at construction and shared by both
+  /// modes, `upward_ranks`, and HEFT.
   std::span<const double> exec_costs() const noexcept { return exec_; }
   double exec_cost(std::size_t t, std::size_t r) const noexcept {
     return exec_[t * platform_->num_resources() + r];
   }
 
-  /// Predecessor stream flattened in topological order (CSR): the
-  /// predecessors of task `topo_order()[i]` occupy
-  /// [pred_offsets()[i], pred_offsets()[i+1]) of `pred_ids()` /
-  /// `pred_weights()`.  The SIMD kernels walk this single linear stream
-  /// instead of chasing the Dag's per-task spans.
-  std::span<const std::uint32_t> pred_offsets() const noexcept {
-    return pred_off_;
-  }
-  std::span<const graph::NodeId> pred_ids() const noexcept { return pred_id_; }
-  std::span<const double> pred_weights() const noexcept { return pred_w_; }
-
  private:
   struct BatchScratch {
     Scratch sched;
     std::vector<graph::NodeId> row;
-    detail::ScheduleLaneScratch lanes;
   };
 
   const graph::Dag* dag_;
   const Platform* platform_;
   std::vector<graph::NodeId> topo_order_;
-  EvalBackend backend_;
-  std::vector<double> exec_;             ///< num_tasks × num_resources
-  std::vector<std::uint32_t> pred_off_;  ///< CSR offsets, topo-indexed
-  std::vector<graph::NodeId> pred_id_;
-  std::vector<double> pred_w_;
+  std::vector<double> exec_;  ///< num_tasks × num_resources
   mutable parallel::ScratchPool<BatchScratch> pool_;
 };
-
-namespace detail {
-
-// Arch-specific assignment-mode schedule kernels, mirroring the batch-
-// evaluation kernels (sim/batch_eval.hpp): each lives in its own
-// translation unit compiled with the wider ISA, and each evaluates the
-// aligned lane groups covering [lo, hi) but writes out[i] only for i in
-// [lo, hi).  The feature probes are shared with the batch kernels — the
-// compile gating (`__x86_64__`/`__aarch64__` × MATCH_DISABLE_SIMD) is
-// identical, so `resolve_eval_backend` answers for both kernel families.
-
-void schedule_eval_avx2_range(const ScheduleEvaluator& eval,
-                              const SampleBlock& block, std::size_t lo,
-                              std::size_t hi, ScheduleLaneScratch& scratch,
-                              double* out);
-
-void schedule_eval_avx512_range(const ScheduleEvaluator& eval,
-                                const SampleBlock& block, std::size_t lo,
-                                std::size_t hi, ScheduleLaneScratch& scratch,
-                                double* out);
-
-void schedule_eval_neon_range(const ScheduleEvaluator& eval,
-                              const SampleBlock& block, std::size_t lo,
-                              std::size_t hi, ScheduleLaneScratch& scratch,
-                              double* out);
-
-}  // namespace detail
 
 /// Checks a schedule against the DAG's precedence constraints and the
 /// platform's exclusivity constraint: every task starts no earlier than

@@ -218,29 +218,6 @@ TEST(BatchEvaluator, RectangularInstanceAllBackends) {
   }
 }
 
-TEST(BatchEvaluator, EvaluateRowsMatchesPerSampleKernel) {
-  workload::Instance inst;
-  Platform plat;
-  const CostEvaluator eval = paper_eval(10, 23, inst, plat);
-  rng::Rng rng(6);
-  constexpr std::size_t kCount = 40;
-  std::vector<graph::NodeId> rows(kCount * 10);
-  for (std::size_t i = 0; i < kCount; ++i) {
-    const Mapping m = Mapping::random_permutation(10, rng);
-    std::copy(m.assignment().begin(), m.assignment().end(),
-              rows.begin() + static_cast<std::ptrdiff_t>(i * 10));
-  }
-  // The AoS adapter always runs the scalar reference kernel, whatever
-  // backend the evaluator was constructed with.
-  const BatchEvaluator be(eval);
-  std::vector<double> out(kCount);
-  be.evaluate_rows(rows, kCount, out);
-  for (std::size_t i = 0; i < kCount; ++i) {
-    EXPECT_EQ(out[i], eval.makespan(std::span<const graph::NodeId>(
-                          rows.data() + i * 10, 10)));
-  }
-}
-
 TEST(BatchEvaluator, RejectsMismatchedShapes) {
   workload::Instance inst;
   Platform plat;
@@ -254,16 +231,12 @@ TEST(BatchEvaluator, RejectsMismatchedShapes) {
   SampleBlock block(8, 4);
   std::vector<double> small_out(3);
   EXPECT_THROW(be.evaluate(block, small_out), std::invalid_argument);
-
-  std::vector<graph::NodeId> rows(8 * 4);
-  EXPECT_THROW(be.evaluate_rows(rows, 4, small_out), std::invalid_argument);
-  EXPECT_THROW(be.evaluate_rows(rows, 5, out), std::invalid_argument);
 }
 
 TEST(BatchEvaluator, ChunkingDoesNotChangeResults) {
   // Determinism contract: forced tiny chunks (every boundary lands mid
   // lane-group) must reproduce the single-chunk result bit-for-bit on
-  // every backend.
+  // every backend, scalar included.
   workload::Instance inst;
   Platform plat;
   const CostEvaluator eval = paper_eval(16, 31, inst, plat);
@@ -272,15 +245,17 @@ TEST(BatchEvaluator, ChunkingDoesNotChangeResults) {
   fill_random(block, 16, 103, rng);
 
   std::vector<double> serial(103), chunked(103);
-  for (EvalBackend b : available_vector_backends()) {
-    const BatchEvaluator vec(eval, b);
+  std::vector<EvalBackend> backends = {EvalBackend::kScalar};
+  for (const EvalBackend b : available_vector_backends()) backends.push_back(b);
+  for (const EvalBackend b : backends) {
+    const BatchEvaluator be(eval, b);
     parallel::ForOptions one_chunk;
     one_chunk.serial_cutoff = 1 << 20;
-    vec.evaluate(block, serial, one_chunk);
+    be.evaluate(block, serial, one_chunk);
     parallel::ForOptions tiny;
     tiny.serial_cutoff = 0;
     tiny.grain = 3;  // boundaries inside lane groups
-    vec.evaluate(block, chunked, tiny);
+    be.evaluate(block, chunked, tiny);
     for (std::size_t i = 0; i < 103; ++i) {
       EXPECT_EQ(serial[i], chunked[i]) << to_string(b) << " sample " << i;
     }

@@ -109,41 +109,6 @@ TEST(CostEvaluator, EdgeKernelMatchesEvaluateOnFractionalWeights) {
   }
 }
 
-TEST(CostEvaluator, BatchMatchesSerial) {
-  rng::Rng rng(2);
-  workload::PaperParams params;
-  params.n = 10;
-  const auto inst = workload::make_paper_instance(params, rng);
-  const auto plat = inst.make_platform();
-  const CostEvaluator eval(inst.tig, plat);
-
-  constexpr std::size_t kCount = 200;
-  std::vector<graph::NodeId> rows(kCount * 10);
-  for (std::size_t i = 0; i < kCount; ++i) {
-    const Mapping m = Mapping::random_permutation(10, rng);
-    std::copy(m.assignment().begin(), m.assignment().end(),
-              rows.begin() + static_cast<std::ptrdiff_t>(i * 10));
-  }
-  std::vector<double> out(kCount);
-  parallel::ForOptions opts;
-  opts.serial_cutoff = 0;  // force the parallel path
-  eval.makespans_batch(rows, kCount, out, opts);
-  for (std::size_t i = 0; i < kCount; ++i) {
-    EXPECT_DOUBLE_EQ(
-        out[i], eval.makespan(std::span<const graph::NodeId>(
-                    rows.data() + i * 10, 10)));
-  }
-}
-
-TEST(CostEvaluator, BatchRejectsShortBuffers) {
-  const auto tig = small_tig();
-  const auto plat = small_platform();
-  const CostEvaluator eval(tig, plat);
-  std::vector<graph::NodeId> rows(3);
-  std::vector<double> out(2);
-  EXPECT_THROW(eval.makespans_batch(rows, 2, out), std::invalid_argument);
-}
-
 TEST(CostEvaluator, RejectsEmptyInputs) {
   const auto plat = small_platform();
   graph::Tig empty;

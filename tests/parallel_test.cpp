@@ -6,8 +6,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <limits>
 #include <mutex>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -104,6 +109,39 @@ TEST(ParallelFor, SerialCutoffRunsInline) {
   parallel_for(
       0, 10, [&](std::size_t i) { ids[i] = std::this_thread::get_id(); }, opts);
   for (const auto& id : ids) EXPECT_EQ(id, caller);
+}
+
+/// Threads in this process, read from the `Threads:` line of
+/// /proc/self/status; 0 when that line cannot be read.
+std::size_t process_thread_count() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) {
+      return static_cast<std::size_t>(std::stoul(line.substr(8)));
+    }
+  }
+  return 0;
+}
+
+TEST(ParallelFor, ForcedSerialLoopStartsNoThreads) {
+  // A loop at or below its serial cutoff with no pool attached runs
+  // inline and must not construct the process-global pool on the way.
+  // Only a fresh process is sure not to hold that pool already, so the
+  // check runs in a re-executed death-test child.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        const std::size_t before = process_thread_count();
+        ForOptions opts;
+        opts.serial_cutoff = std::numeric_limits<std::size_t>::max();
+        std::size_t sum = 0;
+        parallel_for(0, 1000, [&](std::size_t i) { sum += i; }, opts);
+        const std::size_t after = process_thread_count();
+        std::fprintf(stderr, "threads %zu -> %zu\n", before, after);
+        std::exit(before > 0 && after == before && sum == 499500 ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST(ParallelForChunked, ChunksAreDisjointAndCovering) {

@@ -517,14 +517,15 @@ TEST(Service, ServesDagWorkloadsEndToEnd) {
 }
 
 TEST(Service, DagCeBooksResolvedEvalBackendCounter) {
-  // The DAG CE adapter threads `solver_defaults.eval_backend` into its
-  // ScheduleEvaluator and books the resolved kernel as a
-  // `solver.backend.<name>` counter — same observability contract as the
-  // TIG batch-evaluation solvers.
-  {
+  // DAG CE's priority-mode cost pass runs scalar lanes whatever
+  // `solver_defaults.eval_backend` asks for, and it books the kernel that
+  // actually ran as a `solver.backend.<name>` counter — same
+  // observability contract as the TIG batch-evaluation solvers.
+  for (const sim::EvalBackend requested :
+       {sim::EvalBackend::kScalar, sim::EvalBackend::kAuto}) {
     ServiceConfig config;
     config.workers = 1;
-    config.solver_defaults.eval_backend = sim::EvalBackend::kScalar;
+    config.solver_defaults.eval_backend = requested;
     MappingService service(config);
     MapRequest request;
     request.instance = make_dag_instance(10, 31);
@@ -532,23 +533,14 @@ TEST(Service, DagCeBooksResolvedEvalBackendCounter) {
     request.options.seed = 3;
     request.options.max_iterations = 2;
     (void)service.solve(std::move(request));
-    EXPECT_GE(service.metrics().counter_value("solver.backend.scalar"), 1u);
-    service.shutdown();
-  }
-  {
-    ServiceConfig config;
-    config.workers = 1;
-    config.solver_defaults.eval_backend = sim::EvalBackend::kAuto;
-    MappingService service(config);
-    MapRequest request;
-    request.instance = make_dag_instance(10, 31);
-    request.solver = SolverKind::kDagCe;
-    request.options.seed = 3;
-    request.options.max_iterations = 2;
-    (void)service.solve(std::move(request));
-    const std::string resolved = std::string("solver.backend.") +
-        sim::to_string(sim::resolve_eval_backend(sim::EvalBackend::kAuto));
-    EXPECT_GE(service.metrics().counter_value(resolved), 1u);
+    EXPECT_GE(service.metrics().counter_value("solver.backend.scalar"), 1u)
+        << sim::to_string(requested);
+    const sim::EvalBackend resolved = sim::resolve_eval_backend(requested);
+    if (resolved != sim::EvalBackend::kScalar) {
+      EXPECT_EQ(service.metrics().counter_value(
+                    std::string("solver.backend.") + sim::to_string(resolved)),
+                0u);
+    }
     service.shutdown();
   }
 }
