@@ -20,18 +20,22 @@
 //
 // `--metrics-port N` serves the service's metrics registry as
 // Prometheus text exposition on `127.0.0.1:N/metrics` (plus
-// `/healthz`) for the life of the process — scrape it mid-run, or pass
-// `--linger S` to keep the exporter up S seconds after the audit
-// finishes (N = 0 binds an ephemeral port, printed at startup).
+// `/healthz`) from the net::MatchServer reactor's HTTP listener
+// (N = 0 binds an ephemeral port, printed at startup).  In audit mode a
+// MatchServer over the same service (wire port ephemeral, unused)
+// serves the scrapes for the life of the process — scrape it mid-run,
+// or pass `--linger S` to keep it up S seconds after the audit
+// finishes.
 //
 // `--listen PORT` switches the binary from audit mode into a network
 // server: it starts the net::MatchServer reactor on 127.0.0.1:PORT
 // (0 = ephemeral, printed as `listening on 127.0.0.1:<port>`) and
 // serves the binary wire protocol (docs/NETWORKING.md) until SIGINT/
-// SIGTERM or `--serve-seconds S` elapses.  `bench/ext_net_loadgen` is
+// SIGTERM or `--serve-seconds S` elapses; `--metrics-port` puts the
+// HTTP routes on the same reactor thread.  `bench/ext_net_loadgen` is
 // the matching client.  Listen mode always runs a span flight recorder
 // (obs/spans.hpp): the last-N plus all-slow request timelines are
-// dumpable at `/debug/requests` on the metrics exporter, and
+// dumpable at `/debug/requests` on the metrics port, and
 // `--span-trace out.jsonl` streams every sealed timeline to a JSONL
 // file for `match_inspect spans`.
 
@@ -44,6 +48,7 @@
 #include <future>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -52,8 +57,6 @@
 #include "io/table.hpp"
 #include "net/server.hpp"
 #include "obs/events.hpp"
-#include "obs/http_exposer.hpp"
-#include "obs/prometheus.hpp"
 #include "obs/spans.hpp"
 #include "service/service.hpp"
 #include "sim/evaluator.hpp"
@@ -248,6 +251,13 @@ bool audit_gamma_trajectory(MappingService& service,
   return ok;
 }
 
+/// Prints where the HTTP routes of `server` answer, if it has any.
+void print_http_routes(const match::net::MatchServer& server) {
+  if (server.http_port() == 0) return;
+  std::cout << "metrics: http://127.0.0.1:" << server.http_port()
+            << "/metrics (and /healthz, /debug/requests)" << std::endl;
+}
+
 std::atomic<bool> g_stop{false};
 
 extern "C" void handle_stop_signal(int) { g_stop.store(true); }
@@ -255,13 +265,16 @@ extern "C" void handle_stop_signal(int) { g_stop.store(true); }
 /// `--listen` mode: serve the wire protocol until a signal or the time
 /// budget, then print the admission accounting.
 int run_listen_mode(MappingService& service, int listen_port,
+                    std::optional<std::uint16_t> metrics_port,
                     double serve_seconds, match::obs::EventSink* sink,
                     match::obs::FlightRecorder& recorder) {
   match::net::ServerConfig config;
   config.port = static_cast<std::uint16_t>(listen_port);
+  config.http_port = metrics_port;
   config.sink = sink;
   config.recorder = &recorder;
   match::net::MatchServer server(service, config);
+  print_http_routes(server);
   std::cout << "listening on 127.0.0.1:" << server.port() << std::endl;
 
   struct sigaction sa {};
@@ -298,6 +311,11 @@ int run_listen_mode(MappingService& service, int listen_port,
             << (balanced ? "yes" : "NO") << "\n";
   std::cout << "spans: " << recorder.recorded() << " timeline(s) recorded, "
             << recorder.dropped() << " evicted\n";
+  if (metrics_port) {
+    std::cout << "metrics: served "
+              << service.metrics().counter_value("net.http_requests")
+              << " scrape(s)\n";
+  }
   return balanced ? 0 : 1;
 }
 
@@ -307,7 +325,7 @@ int main(int argc, char** argv) {
   std::size_t count = 500;
   double rate = 1000.0;
   const char* trace_path = nullptr;
-  int metrics_port = -1;  // -1 = exporter off; 0 = ephemeral
+  std::optional<std::uint16_t> metrics_port;  // unset = no HTTP; 0 = ephemeral
   double linger_seconds = 0.0;
   int listen_port = -1;  // -1 = audit mode; 0 = serve on ephemeral port
   double serve_seconds = 0.0;  // 0 = until SIGINT/SIGTERM
@@ -322,11 +340,12 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--span-trace") == 0 && i + 1 < argc) {
       span_trace_path = argv[++i];
     } else if (std::strcmp(argv[i], "--metrics-port") == 0 && i + 1 < argc) {
-      metrics_port = std::atoi(argv[++i]);
-      if (metrics_port < 0 || metrics_port > 65535) {
+      const int port = std::atoi(argv[++i]);
+      if (port < 0 || port > 65535) {
         std::cerr << "--metrics-port wants 0..65535\n";
         return 2;
       }
+      metrics_port = static_cast<std::uint16_t>(port);
     } else if (std::strcmp(argv[i], "--linger") == 0 && i + 1 < argc) {
       linger_seconds = std::atof(argv[++i]);
     } else if (std::strcmp(argv[i], "--listen") == 0 && i + 1 < argc) {
@@ -381,27 +400,6 @@ int main(int argc, char** argv) {
   config.sink = sink;
   MappingService service(config);
 
-  // Prometheus exposition over the service registry.  A scrape renders a
-  // MetricsSnapshot on the exporter's own thread — a pure observer that
-  // can run mid-trace without perturbing any solver.
-  std::unique_ptr<match::obs::HttpExposer> exposer;
-  if (metrics_port >= 0) {
-    match::obs::HttpExposer::Options http;
-    http.port = static_cast<std::uint16_t>(metrics_port);
-    try {
-      exposer = std::make_unique<match::obs::HttpExposer>(
-          [&service] {
-            return match::obs::to_prometheus(service.metrics().snapshot());
-          },
-          http);
-    } catch (const std::exception& e) {
-      std::cerr << "metrics exporter failed to start: " << e.what() << "\n";
-      return 2;
-    }
-    std::cout << "metrics: http://127.0.0.1:" << exposer->port()
-              << "/metrics (and /healthz)\n";
-  }
-
   if (listen_port >= 0) {
     // The flight recorder always runs in listen mode: the retention cost
     // is bounded and `/debug/requests` should answer during an incident,
@@ -419,15 +417,13 @@ int main(int argc, char** argv) {
       std::cout << "span trace: streaming timelines to " << span_trace_path
                 << "\n";
     }
-    if (exposer) {
-      exposer->add_route("/debug/requests", [&recorder] {
-        return match::obs::render_debug_requests(recorder);
-      });
-      std::cout << "debug: http://127.0.0.1:" << exposer->port()
-                << "/debug/requests\n";
+    int rc = 2;
+    try {
+      rc = run_listen_mode(service, listen_port, metrics_port, serve_seconds,
+                           sink, recorder);
+    } catch (const std::exception& e) {
+      std::cerr << "server failed to start: " << e.what() << "\n";
     }
-    const int rc = run_listen_mode(service, listen_port, serve_seconds, sink,
-                                   recorder);
     service.shutdown();
     if (span_trace_path != nullptr) {
       recorder.flush_stream();
@@ -440,8 +436,23 @@ int main(int argc, char** argv) {
       std::cout << "trace: " << jsonl->emitted() << " events written to "
                 << trace_path << "\n";
     }
-    if (exposer) exposer->stop();
     return rc;
+  }
+
+  // Prometheus exposition over the service registry, served by a
+  // MatchServer's reactor.  A scrape renders a MetricsSnapshot — a pure
+  // observer that can run mid-trace without perturbing any solver.
+  std::unique_ptr<match::net::MatchServer> http_server;
+  if (metrics_port) {
+    match::net::ServerConfig http;
+    http.http_port = metrics_port;
+    try {
+      http_server = std::make_unique<match::net::MatchServer>(service, http);
+    } catch (const std::exception& e) {
+      std::cerr << "metrics server failed to start: " << e.what() << "\n";
+      return 2;
+    }
+    print_http_routes(*http_server);
   }
 
   // ---- Run 1: cold cache, open loop. -----------------------------------
@@ -532,16 +543,17 @@ int main(int argc, char** argv) {
               << trace_path << " (" << ring.dropped()
               << " dropped from the audit ring)\n";
   }
-  if (exposer && linger_seconds > 0.0) {
+  if (http_server && linger_seconds > 0.0) {
     std::cout << "lingering " << linger_seconds
-              << "s for scrapes (curl http://127.0.0.1:" << exposer->port()
-              << "/metrics)...\n";
+              << "s for scrapes (curl http://127.0.0.1:"
+              << http_server->http_port() << "/metrics)...\n";
     std::this_thread::sleep_for(std::chrono::duration<double>(linger_seconds));
   }
-  if (exposer) {
-    std::cout << "metrics: served " << exposer->requests_served()
+  if (http_server) {
+    http_server->stop();
+    std::cout << "metrics: served "
+              << service.metrics().counter_value("net.http_requests")
               << " scrape(s)\n";
-    exposer->stop();
   }
   std::cout << "\n" << (ok ? "OK" : "FAILED") << "\n";
   return ok ? 0 : 1;

@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <utility>
 
+#include "obs/prometheus.hpp"
 #include "obs/spans.hpp"
 #include "service/instance_cache.hpp"
 
@@ -91,6 +92,9 @@ const char* admission_outcome(Status status) {
 /// Gauge sampling period for the reactor saturation telemetry.
 constexpr double kGaugeSampleSeconds = 0.25;
 
+/// An HTTP request head (blank line included) longer than this is a 400.
+constexpr std::size_t kMaxHttpHead = 16 * 1024;
+
 }  // namespace
 
 MatchServer::MatchServer(service::MappingService& service, ServerConfig config)
@@ -102,13 +106,19 @@ MatchServer::MatchServer(service::MappingService& service, ServerConfig config)
   listener.bind_address = config_.bind_address;
   listener.port = config_.port;
   listener.backlog = config_.backlog;
-  listener.non_blocking = true;
   listen_fd_ = open_listener(listener);
   try {
     port_ = bound_port(listen_fd_);
     loop_.add(listen_fd_, /*want_read=*/true, /*want_write=*/false);
     loop_.add(wakeup_.fd(), /*want_read=*/true, /*want_write=*/false);
+    if (config_.http_port) {
+      listener.port = *config_.http_port;
+      http_listen_fd_ = open_listener(listener);
+      http_port_ = bound_port(http_listen_fd_);
+      loop_.add(http_listen_fd_, /*want_read=*/true, /*want_write=*/false);
+    }
   } catch (...) {
+    close_fd(http_listen_fd_);
     close_fd(listen_fd_);
     throw;
   }
@@ -138,6 +148,7 @@ void MatchServer::stop() {
   conn_fd_.clear();
   live_connections_.store(0, std::memory_order_relaxed);
   close_fd(listen_fd_);
+  close_fd(http_listen_fd_);
   stopped_ = true;
 }
 
@@ -183,8 +194,8 @@ void MatchServer::run() {
       const std::uint64_t batch_id_limit = next_conn_id_;
       drain_outbox(/*deliver=*/true);
       for (const EventLoop::Ready& ev : ready) {
-        if (ev.fd == listen_fd_) {
-          accept_new();
+        if (ev.fd == listen_fd_ || ev.fd == http_listen_fd_) {
+          accept_new(ev.fd);
           continue;
         }
         if (ev.fd == wakeup_.fd()) {
@@ -230,9 +241,9 @@ void MatchServer::run() {
   }
 }
 
-void MatchServer::accept_new() {
+void MatchServer::accept_new(int listen_fd) {
   for (;;) {
-    const int client = ::accept(listen_fd_, nullptr, nullptr);
+    const int client = ::accept(listen_fd, nullptr, nullptr);
     if (client < 0) {
       if (errno == EINTR) continue;
       // EAGAIN: drained.  Anything else (EMFILE, ...) is transient —
@@ -257,6 +268,7 @@ void MatchServer::accept_new() {
     conn.id = next_conn_id_++;
     conn.fd = client;
     conn.last_activity = Clock::now();
+    conn.http = listen_fd == http_listen_fd_;
     try {
       loop_.add(client, /*want_read=*/true, /*want_write=*/false);
     } catch (...) {
@@ -311,7 +323,9 @@ bool MatchServer::handle_readable(int fd) {
     conn.in.append(buf, static_cast<std::size_t>(n));
     conn.last_activity = Clock::now();
     if (static_cast<std::size_t>(n) < sizeof(buf)) break;
+    if (conn.http && conn.in.size() > kMaxHttpHead) break;
   }
+  if (conn.http) return handle_http(conn, eof);
   if (!parse_frames(fd)) {
     metrics_.counter("net.protocol_errors").add();
     const auto again = conns_.find(fd);
@@ -719,6 +733,123 @@ void MatchServer::sweep_idle() {
     const auto it = conns_.find(fd);
     if (it != conns_.end()) close_connection(it->second, "net.idle_closed");
   }
+}
+
+// ---- HTTP routes ------------------------------------------------------
+
+namespace {
+
+std::string make_http_response(int status, const char* content_type,
+                               std::string_view body, bool head_only) {
+  const char* reason = status == 200   ? "OK"
+                       : status == 400 ? "Bad Request"
+                       : status == 404 ? "Not Found"
+                       : status == 405 ? "Method Not Allowed"
+                                       : "Internal Server Error";
+  std::string out;
+  out.reserve(body.size() + 128);
+  out += "HTTP/1.1 ";
+  out += std::to_string(status);
+  out.push_back(' ');
+  out += reason;
+  out += "\r\nContent-Type: ";
+  out += content_type;
+  out += "\r\nContent-Length: ";
+  out += std::to_string(body.size());
+  out += "\r\nConnection: close\r\n\r\n";
+  if (!head_only) out += body;
+  return out;
+}
+
+}  // namespace
+
+HttpHead parse_http_head(std::string_view head) noexcept {
+  HttpHead parsed;
+  const std::string_view line = head.substr(0, head.find("\r\n"));
+  const std::size_t method_end = line.find(' ');
+  if (method_end == std::string_view::npos) return parsed;  // 400
+  const std::string_view method = line.substr(0, method_end);
+  std::string_view target = line.substr(method_end + 1);
+  target = target.substr(0, target.find(' '));
+  target = target.substr(0, target.find('?'));
+  if (method != "GET" && method != "HEAD") {
+    parsed.status = 405;
+    return parsed;
+  }
+  parsed.head_only = method == "HEAD";
+  parsed.status = 200;
+  if (target == "/metrics") {
+    parsed.route = HttpRoute::kMetrics;
+  } else if (target == "/healthz") {
+    parsed.route = HttpRoute::kHealthz;
+  } else if (target == "/debug/requests") {
+    parsed.route = HttpRoute::kDebugRequests;
+  } else {
+    parsed.status = 404;
+  }
+  return parsed;
+}
+
+bool MatchServer::handle_http(Connection& conn, bool eof) {
+  const std::size_t end = conn.in.find("\r\n\r\n");
+  const std::size_t head_bytes =
+      end == std::string::npos ? conn.in.size() : end + 4;
+  if (end == std::string::npos && !eof && head_bytes <= kMaxHttpHead) {
+    return true;  // wait for the rest of the head
+  }
+  const HttpHead head =
+      head_bytes > kMaxHttpHead
+          ? HttpHead{}
+          : parse_http_head(std::string_view(conn.in).substr(0, end));
+  // Booked before the bytes are queued: a client that has read its
+  // answer already sees itself counted.
+  metrics_.counter("net.http_requests").add();
+  conn.out += http_response(head);
+  conn.in.clear();
+  // One request per connection: stop reading, and let the half-close
+  // path close the connection once the response is flushed.
+  conn.read_closed = true;
+  loop_.modify(conn.fd, /*want_read=*/false, conn.want_write);
+  if (conn.out.size() - conn.out_written > config_.max_write_buffer) {
+    close_connection(conn, "net.slow_client_closed");
+    return false;
+  }
+  const int fd = conn.fd;
+  if (!flush_writes(conn)) return false;
+  maybe_close_half_closed(fd);
+  return conns_.find(fd) != conns_.end();
+}
+
+std::string MatchServer::http_response(const HttpHead& head) const {
+  const char* const plain = "text/plain";
+  if (head.status == 400) {
+    return make_http_response(400, plain, "bad request\n", head.head_only);
+  }
+  if (head.status == 405) {
+    return make_http_response(405, plain, "only GET and HEAD are served\n",
+                              head.head_only);
+  }
+  try {
+    switch (head.route) {
+      case HttpRoute::kMetrics:
+        return make_http_response(200, "text/plain; version=0.0.4",
+                                  obs::to_prometheus(metrics_.snapshot()),
+                                  head.head_only);
+      case HttpRoute::kHealthz:
+        return make_http_response(200, plain, "ok\n", head.head_only);
+      case HttpRoute::kDebugRequests:
+        if (config_.recorder == nullptr) break;
+        return make_http_response(
+            200, "application/json",
+            obs::render_debug_requests(*config_.recorder), head.head_only);
+      case HttpRoute::kNone:
+        break;
+    }
+  } catch (...) {
+    return make_http_response(500, plain, "render failed\n", head.head_only);
+  }
+  return make_http_response(404, plain, "try /metrics or /healthz\n",
+                            head.head_only);
 }
 
 }  // namespace match::net

@@ -2,12 +2,12 @@
 
 // The asynchronous network front end of the mapping service.
 //
-//   clients ──► Acceptor ──► per-connection state machine ──► admission
-//                (epoll/poll EventLoop, one reactor thread)      │
-//                                                                ├─ shed (queue watermark by priority)
-//                                                                ├─ reject (deadline already infeasible)
-//                                                                └─ MappingService::try_submit
-//                                                                     └─ worker callback ─► outbox ─► wakeup ─► reactor writes response
+//   wire clients ──► wire listener ─┐                            ┌─► admission
+//                                   ├─► one reactor thread ──────┤    ├─ shed (queue watermark by priority)
+//   scrapers ──────► HTTP listener ─┘   (epoll/poll EventLoop)   │    ├─ reject (deadline already infeasible)
+//                    (optional)                                  │    └─ MappingService::try_submit
+//                                                                │         └─ worker callback ─► outbox ─► wakeup ─► reactor writes response
+//                                                                └─► parse_http_head ─► /metrics | /healthz | /debug/requests ─► write, close
 //
 // One thread runs the reactor: it accepts connections, reassembles
 // length-prefixed frames from partial reads (wire.hpp), makes the
@@ -16,6 +16,13 @@
 // listener stays responsive at any offered load.  Solves happen on the
 // service's worker pumps; completions cross back to the reactor through
 // a mutex-guarded outbox plus a `Wakeup` fd.
+//
+// HTTP (when `ServerConfig::http_port` is set): a second listener on
+// the same loop serves `/metrics`, `/healthz` and `/debug/requests`
+// (docs/NETWORKING.md §"HTTP routes").  An HTTP connection is one
+// request — read to the blank line, answered, closed once flushed —
+// under the wire port's connection cap, idle sweep and write-backlog
+// cap.  It books `net.http_requests` and no admission counter.
 //
 // Admission control, in decision order per request:
 //   1. malformed payload / unknown solver  → kBadRequest
@@ -61,7 +68,9 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -103,6 +112,10 @@ struct AdmissionConfig {
 struct ServerConfig {
   std::string bind_address = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 = ephemeral; see `MatchServer::port()`
+  /// HTTP listener for /metrics, /healthz and /debug/requests on the
+  /// same reactor, bound to `bind_address` with `backlog`.  Unset = no
+  /// HTTP listener; 0 = ephemeral, see `MatchServer::http_port()`.
+  std::optional<std::uint16_t> http_port;
   int backlog = 128;
   std::size_t max_connections = 1024;
 
@@ -131,6 +144,22 @@ struct ServerConfig {
   /// Null disables tracing entirely — zero extra clock reads.
   obs::FlightRecorder* recorder = nullptr;
 };
+
+/// The built-in HTTP routes.
+enum class HttpRoute { kNone, kMetrics, kHealthz, kDebugRequests };
+
+/// What one HTTP request head asks for.
+struct HttpHead {
+  int status = 400;  ///< 200 (`route` is set), 400, 404 or 405
+  HttpRoute route = HttpRoute::kNone;
+  bool head_only = false;  ///< a HEAD request: answer with headers only
+};
+
+/// Parses an HTTP/1.x request head (the bytes before the blank line):
+/// the request line's method and target, query string ignored.  A line
+/// without a space is a 400, a method other than GET or HEAD a 405, an
+/// unknown target a 404.  Pure: reads only `head`, never throws.
+HttpHead parse_http_head(std::string_view head) noexcept;
 
 /// Point-in-time admission accounting, read from the service registry.
 struct ServerCounters {
@@ -166,9 +195,12 @@ class MatchServer {
   /// The port actually bound (== config.port unless that was 0).
   std::uint16_t port() const noexcept { return port_; }
 
+  /// The HTTP port actually bound; 0 when `config.http_port` is unset.
+  std::uint16_t http_port() const noexcept { return http_port_; }
+
   const ServerConfig& config() const noexcept { return config_; }
 
-  /// Closes the listener, joins the reactor, drains outstanding
+  /// Closes the listeners, joins the reactor, drains outstanding
   /// admitted requests (their terminal counters still land, so the
   /// accounting identity holds after stop), and closes every
   /// connection.  Idempotent.
@@ -196,6 +228,8 @@ class MatchServer {
     bool read_closed = false;
     /// Admitted-but-unanswered requests from THIS connection.
     std::size_t inflight = 0;
+    /// Accepted on the HTTP listener: one request head, one response.
+    bool http = false;
   };
 
   struct Completed {
@@ -209,9 +243,14 @@ class MatchServer {
   };
 
   void run();
-  void accept_new();
+  void accept_new(int listen_fd);
   void close_connection(Connection& conn, const char* counter);
   bool handle_readable(int fd);   ///< false: connection closed
+  /// Answers the HTTP request buffered in `conn.in` once its head is
+  /// complete (or the peer half-closed).  false: connection closed.
+  bool handle_http(Connection& conn, bool eof);
+  /// The full response for `head`; a render that throws is a 500.
+  std::string http_response(const HttpHead& head) const;
   bool parse_frames(int fd);      ///< false: protocol error
   void handle_request(Connection& conn, const FrameHeader& header,
                       std::string_view payload);
@@ -243,6 +282,8 @@ class MatchServer {
 
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
+  int http_listen_fd_ = -1;
+  std::uint16_t http_port_ = 0;
   EventLoop loop_;
   Wakeup wakeup_;
 

@@ -55,11 +55,9 @@ int open_listener(const ListenerOptions& options) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) throw_errno("socket() failed");
   try {
-    if (options.reuse_addr) {
-      const int one = 1;
-      if (::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one)) < 0) {
-        throw_errno("setsockopt(SO_REUSEADDR) failed");
-      }
+    const int one = 1;
+    if (::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one)) < 0) {
+      throw_errno("setsockopt(SO_REUSEADDR) failed");
     }
     const sockaddr_in addr = make_addr(options.bind_address, options.port);
     if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) <
@@ -71,7 +69,7 @@ int open_listener(const ListenerOptions& options) {
       throw_errno("listen() failed on " + options.bind_address + ":" +
                   std::to_string(options.port));
     }
-    if (options.non_blocking && !set_nonblocking(fd, true)) {
+    if (!set_nonblocking(fd, true)) {
       throw_errno("cannot set listener non-blocking");
     }
   } catch (...) {
@@ -88,13 +86,6 @@ std::uint16_t bound_port(int fd) {
     throw_errno("getsockname() failed");
   }
   return ntohs(bound.sin_port);
-}
-
-int accept_retry(int listen_fd) noexcept {
-  for (;;) {
-    const int client = ::accept(listen_fd, nullptr, nullptr);
-    if (client >= 0 || errno != EINTR) return client;
-  }
 }
 
 int connect_to(const std::string& address, std::uint16_t port) {

@@ -1,8 +1,8 @@
 #pragma once
 
-// Shared POSIX socket plumbing for every listener in the library — the
-// blocking metrics exposer (obs::HttpExposer) and the non-blocking
-// request front end (net::MatchServer) both build on these helpers, so
+// POSIX socket plumbing for the network front end: the listeners of
+// net::MatchServer (its wire port and optional HTTP port) and the
+// blocking clients that talk to it (net::Client, the benchmarks), so
 // bind/listen/ephemeral-port discipline, SO_REUSEADDR, and EINTR
 // handling live in exactly one place.
 //
@@ -25,30 +25,23 @@ void close_fd(int& fd) noexcept;
 bool set_nonblocking(int fd, bool enabled) noexcept;
 
 struct ListenerOptions {
-  /// Loopback by default: both current listeners are operator/bench
+  /// Loopback by default: the server's ports are operator/bench
   /// surfaces, not public ones.  Use "0.0.0.0" to accept remote peers.
   std::string bind_address = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 = ephemeral; see `bound_port`
   int backlog = 128;
-  /// SO_REUSEADDR so a restarted listener can rebind its old port while
-  /// the previous incarnation's sockets linger in TIME_WAIT.
-  bool reuse_addr = true;
-  bool non_blocking = false;  ///< listener fd in O_NONBLOCK mode
 };
 
-/// Creates, binds, and starts listening on a TCP socket.  Returns the
-/// listening fd; throws `std::runtime_error` (with the strerror text)
-/// on any failure, leaking nothing.
+/// Creates, binds, and starts listening on a non-blocking TCP socket,
+/// with SO_REUSEADDR so a restarted listener can rebind its old port
+/// while the previous incarnation's sockets linger in TIME_WAIT.
+/// Returns the listening fd; throws `std::runtime_error` (with the
+/// strerror text) on any failure, leaking nothing.
 int open_listener(const ListenerOptions& options);
 
 /// The port a socket is actually bound to (resolves ephemeral binds).
 /// Throws `std::runtime_error` when getsockname fails.
 std::uint16_t bound_port(int fd);
-
-/// Blocking accept that retries EINTR.  Returns the client fd, or -1
-/// for any other failure (caller inspects errno: a closed listener
-/// returns EBADF/EINVAL, resource exhaustion EMFILE, ...).
-int accept_retry(int listen_fd) noexcept;
 
 /// Connects a blocking TCP socket to `address:port`, retrying EINTR.
 /// Throws `std::runtime_error` on failure.

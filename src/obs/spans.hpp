@@ -21,8 +21,8 @@
 // tail incident an hour old is still dumpable after millions of fast
 // requests evicted the rest.  Two dump paths:
 //
-//   * `render_debug_requests` — bounded JSON for the HttpExposer's
-//     `/debug/requests` route;
+//   * `render_debug_requests` — bounded JSON for net::MatchServer's
+//     `/debug/requests` HTTP route;
 //   * `attach_stream` — every sealed timeline appended to a JSONL
 //     stream (`match_server --span-trace out.jsonl`), doubles in
 //     shortest round-trip form exactly like obs/events.cpp, parsed back

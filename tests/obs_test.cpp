@@ -22,12 +22,13 @@
 #include "core/ce_driver.hpp"
 #include "core/matchalgo.hpp"
 #include "core/solver_context.hpp"
+#include "net/server.hpp"
 #include "obs/events.hpp"
-#include "obs/http_exposer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prometheus.hpp"
 #include "obs/scoped_timer.hpp"
 #include "rng/rng.hpp"
+#include "service/service.hpp"
 #include "sim/evaluator.hpp"
 #include "sim/platform.hpp"
 #include "workload/paper_suite.hpp"
@@ -480,19 +481,22 @@ TEST(PureObserver, ScrapingAnAttachedExporterNeverPerturbsTheRun) {
       core::MatchOptimizer(eval, mp).run(match::SolverContext(plain_rng));
 
   // Candidate: full telemetry attached — sink, metrics, and a live
-  // /metrics endpoint being scraped as fast as possible while the
-  // solver runs.
+  // MatchServer /metrics endpoint over the same registry, scraped as
+  // fast as possible while the solver runs.
   rng::Rng traced_rng(5);
   RingBufferSink ring(8192);
-  MetricsRegistry metrics;
-  HttpExposer exposer(
-      [&metrics] { return to_prometheus(metrics.snapshot()); });
+  service::ServiceConfig sconfig;
+  sconfig.workers = 1;
+  service::MappingService service(sconfig);
+  net::ServerConfig nconfig;
+  nconfig.http_port = 0;
+  net::MatchServer server(service, nconfig);
 
   std::atomic<bool> done{false};
   std::atomic<std::size_t> scrapes{0};
   std::thread scraper([&] {
     while (!done.load(std::memory_order_relaxed)) {
-      if (scrape(exposer.port(), "/metrics").find("200 OK") !=
+      if (scrape(server.http_port(), "/metrics").find("200 OK") !=
           std::string::npos) {
         scrapes.fetch_add(1, std::memory_order_relaxed);
       }
@@ -500,19 +504,19 @@ TEST(PureObserver, ScrapingAnAttachedExporterNeverPerturbsTheRun) {
   });
 
   match::SolverContext ctx(traced_rng);
-  ctx.with_sink(&ring).with_metrics(&metrics).with_run_id(12);
+  ctx.with_sink(&ring).with_metrics(&service.metrics()).with_run_id(12);
   const auto traced = core::MatchOptimizer(eval, mp).run(ctx);
   done.store(true, std::memory_order_relaxed);
   scraper.join();
 
   // One more scrape after the run: the final counters are visible.
-  const std::string text = scrape(exposer.port(), "/metrics");
+  const std::string text = scrape(server.http_port(), "/metrics");
   EXPECT_NE(text.find("match_iterations"), std::string::npos);
   EXPECT_NE(text.find("# TYPE match_phase_draw_seconds histogram"),
             std::string::npos);
   EXPECT_GE(scrapes.load() + 1, 1u);
 
-  // Bit-identical trajectory: the exporter observed, never participated.
+  // Bit-identical trajectory: the server observed, never participated.
   EXPECT_EQ(plain.best_mapping, traced.best_mapping);
   EXPECT_EQ(plain.best_cost, traced.best_cost);
   ASSERT_EQ(plain.history.size(), traced.history.size());

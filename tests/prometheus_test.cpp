@@ -1,27 +1,19 @@
 // Tests of the Prometheus exposition pipeline: metric-name
-// sanitization, label-value escaping, the text renderer's histogram
-// encoding (cumulative buckets, +Inf, _sum/_count, quantile gauges),
-// and the HTTP exposer end-to-end over a real loopback socket.
+// sanitization, label-value escaping, and the text renderer's histogram
+// encoding (cumulative buckets, +Inf, _sum/_count, quantile gauges).
+// The HTTP routes that serve it live on net::MatchServer
+// (tests/net_http_test.cpp).
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <charconv>
-#include <cstring>
 #include <limits>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "obs/http_exposer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prometheus.hpp"
-#include "obs/spans.hpp"
 
 namespace match::obs {
 namespace {
@@ -160,243 +152,6 @@ TEST(Render, NonFiniteGaugesUsePrometheusTokens) {
   const std::string text = to_prometheus(snap);
   EXPECT_NE(text.find("neg -Inf\n"), std::string::npos);
   EXPECT_NE(text.find("pos +Inf\n"), std::string::npos);
-}
-
-// ------------------------------------------------------------ HTTP exposer
-
-/// Blocking loopback HTTP/1.0-style GET; returns the raw response.
-std::string http_get(std::uint16_t port, const std::string& request_text) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) throw std::runtime_error("socket() failed");
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
-    throw std::runtime_error("connect() failed");
-  }
-  ::send(fd, request_text.data(), request_text.size(), 0);
-  std::string response;
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
-    response.append(buf, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  return response;
-}
-
-std::string get_path(std::uint16_t port, const std::string& path,
-                     const std::string& method = "GET") {
-  return http_get(port, method + " " + path +
-                            " HTTP/1.1\r\nHost: localhost\r\n"
-                            "Connection: close\r\n\r\n");
-}
-
-TEST(HttpExposer, ServesMetricsAndHealthOnEphemeralPort) {
-  MetricsRegistry registry;
-  registry.counter("scrape.me").add(3);
-  HttpExposer exposer(
-      [&registry] { return to_prometheus(registry.snapshot()); });
-  ASSERT_GT(exposer.port(), 0);
-
-  const std::string metrics = get_path(exposer.port(), "/metrics");
-  EXPECT_NE(metrics.find("HTTP/1.1 200 OK"), std::string::npos);
-  EXPECT_NE(metrics.find("text/plain; version=0.0.4"), std::string::npos);
-  EXPECT_NE(metrics.find("scrape_me 3\n"), std::string::npos);
-
-  const std::string health = get_path(exposer.port(), "/healthz");
-  EXPECT_NE(health.find("HTTP/1.1 200 OK"), std::string::npos);
-  EXPECT_NE(health.find("ok\n"), std::string::npos);
-
-  // Query strings are ignored on routing.
-  const std::string with_query = get_path(exposer.port(), "/metrics?x=1");
-  EXPECT_NE(with_query.find("HTTP/1.1 200 OK"), std::string::npos);
-
-  EXPECT_EQ(exposer.requests_served(), 3u);
-}
-
-TEST(HttpExposer, RoutesErrorsWithoutDying) {
-  MetricsRegistry registry;
-  HttpExposer exposer(
-      [&registry] { return to_prometheus(registry.snapshot()); });
-
-  EXPECT_NE(get_path(exposer.port(), "/nope").find("HTTP/1.1 404"),
-            std::string::npos);
-  EXPECT_NE(get_path(exposer.port(), "/metrics", "POST").find("HTTP/1.1 405"),
-            std::string::npos);
-  EXPECT_NE(http_get(exposer.port(), "garbage\r\n\r\n")
-                .find("HTTP/1.1 400"),
-            std::string::npos);
-  // Still alive after the errors.
-  EXPECT_NE(get_path(exposer.port(), "/healthz").find("200 OK"),
-            std::string::npos);
-}
-
-TEST(HttpExposer, RendererThrowIsA500AndTheListenerSurvives) {
-  bool do_throw = true;
-  HttpExposer exposer([&do_throw]() -> std::string {
-    if (do_throw) throw std::runtime_error("boom");
-    return "fine\n";
-  });
-  EXPECT_NE(get_path(exposer.port(), "/metrics").find("HTTP/1.1 500"),
-            std::string::npos);
-  do_throw = false;
-  EXPECT_NE(get_path(exposer.port(), "/metrics").find("fine\n"),
-            std::string::npos);
-}
-
-TEST(HttpExposer, HeadReturnsHeadersOnly) {
-  HttpExposer exposer([] { return std::string("body-bytes\n"); });
-  const std::string head = get_path(exposer.port(), "/metrics", "HEAD");
-  EXPECT_NE(head.find("HTTP/1.1 200 OK"), std::string::npos);
-  EXPECT_NE(head.find("Content-Length: 11"), std::string::npos);
-  EXPECT_EQ(head.find("body-bytes"), std::string::npos);
-}
-
-TEST(HttpExposer, StopIsIdempotentAndFreesThePort) {
-  HttpExposerOptions options;
-  HttpExposer first([] { return std::string(); }, options);
-  const std::uint16_t port = first.port();
-  first.stop();
-  first.stop();  // second stop is a no-op
-  EXPECT_THROW(get_path(port, "/healthz"), std::runtime_error);
-
-  // The port is immediately reusable (SO_REUSEADDR + proper close).
-  options.port = port;
-  HttpExposer second([] { return std::string("back\n"); }, options);
-  EXPECT_NE(get_path(port, "/metrics").find("back\n"), std::string::npos);
-}
-
-// Regression for the shared-socket-util refactor: restarting on the same
-// port must also work after the first exposer actually SERVED requests —
-// served connections leave sockets in TIME_WAIT on that port, which is
-// exactly the case SO_REUSEADDR exists for (a never-used listener rebinds
-// even without it).
-TEST(HttpExposer, RestartOnSamePortAfterServingScrapes) {
-  HttpExposerOptions options;
-  auto first = std::make_unique<HttpExposer>(
-      [] { return std::string("gen-1\n"); }, options);
-  const std::uint16_t port = first->port();
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_NE(get_path(port, "/metrics").find("gen-1\n"), std::string::npos);
-  }
-  first.reset();  // stop + close while scrape sockets linger in TIME_WAIT
-
-  options.port = port;
-  std::unique_ptr<HttpExposer> second;
-  ASSERT_NO_THROW(second = std::make_unique<HttpExposer>(
-                      [] { return std::string("gen-2\n"); }, options));
-  EXPECT_EQ(second->port(), port);
-  EXPECT_NE(get_path(port, "/metrics").find("gen-2\n"), std::string::npos);
-}
-
-TEST(HttpExposer, NullRendererIsRejected) {
-  EXPECT_THROW(HttpExposer(HttpExposer::Renderer()), std::invalid_argument);
-}
-
-// Every response — including /healthz and errors — must carry an
-// explicit Content-Type, an exact Content-Length, and Connection: close,
-// or a scraper that honors keep-alive by default hangs until timeout.
-TEST(HttpExposer, EveryResponseCarriesExplicitFramingHeaders) {
-  HttpExposer exposer([] { return std::string("m 1\n"); });
-  const struct {
-    const char* path;
-    const char* content_type;
-    std::size_t body_size;
-  } expectations[] = {
-      {"/metrics", "Content-Type: text/plain; version=0.0.4", 4},
-      {"/healthz", "Content-Type: text/plain", 3},  // "ok\n"
-      {"/nope", "Content-Type: text/plain", 0},     // 404, any body
-  };
-  for (const auto& e : expectations) {
-    const std::string response = get_path(exposer.port(), e.path);
-    EXPECT_NE(response.find(e.content_type), std::string::npos) << e.path;
-    EXPECT_NE(response.find("Content-Length: "), std::string::npos) << e.path;
-    EXPECT_NE(response.find("Connection: close"), std::string::npos) << e.path;
-    if (e.body_size > 0) {
-      EXPECT_NE(response.find("Content-Length: " +
-                              std::to_string(e.body_size)),
-                std::string::npos)
-          << e.path;
-    }
-  }
-}
-
-// ------------------------------------------------------------ custom routes
-
-TEST(HttpExposer, AddRouteServesWithItsContentType) {
-  HttpExposer exposer([] { return std::string(); });
-  exposer.add_route("/debug/thing", [] { return std::string("{\"x\":1}"); });
-  const std::string response = get_path(exposer.port(), "/debug/thing");
-  EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos);
-  EXPECT_NE(response.find("Content-Type: application/json"),
-            std::string::npos);
-  EXPECT_NE(response.find("Content-Length: 7"), std::string::npos);
-  EXPECT_NE(response.find("Connection: close"), std::string::npos);
-  EXPECT_NE(response.find("{\"x\":1}"), std::string::npos);
-
-  // Re-registration replaces, and a custom content type is honored.
-  exposer.add_route("/debug/thing", [] { return std::string("plain"); },
-                    "text/plain");
-  const std::string replaced = get_path(exposer.port(), "/debug/thing");
-  EXPECT_NE(replaced.find("Content-Type: text/plain"), std::string::npos);
-  EXPECT_NE(replaced.find("plain"), std::string::npos);
-}
-
-TEST(HttpExposer, AddRouteRejectsBadArguments) {
-  HttpExposer exposer([] { return std::string(); });
-  EXPECT_THROW(exposer.add_route("/x", HttpExposer::Renderer()),
-               std::invalid_argument);
-  EXPECT_THROW(exposer.add_route("no-slash", [] { return std::string(); }),
-               std::invalid_argument);
-  EXPECT_THROW(exposer.add_route("", [] { return std::string(); }),
-               std::invalid_argument);
-  EXPECT_THROW(exposer.add_route("/metrics", [] { return std::string(); }),
-               std::invalid_argument);
-  EXPECT_THROW(exposer.add_route("/healthz", [] { return std::string(); }),
-               std::invalid_argument);
-}
-
-TEST(HttpExposer, RouteRendererThrowIsA500AndTheListenerSurvives) {
-  HttpExposer exposer([] { return std::string(); });
-  exposer.add_route("/boom", []() -> std::string {
-    throw std::runtime_error("route boom");
-  });
-  EXPECT_NE(get_path(exposer.port(), "/boom").find("HTTP/1.1 500"),
-            std::string::npos);
-  EXPECT_NE(get_path(exposer.port(), "/healthz").find("200 OK"),
-            std::string::npos);
-}
-
-TEST(HttpExposer, DebugRequestsRouteServesTheFlightRecorder) {
-  FlightRecorder recorder;
-  SpanTimeline tl;
-  tl.start(7, SpanClock::time_point{});
-  tl.stamp_seconds(SpanStage::kSolve, 0.0, 0.003, "match");
-  tl.outcome = "net.served";
-  tl.total_seconds = 0.004;
-  recorder.record(std::move(tl));
-
-  HttpExposer exposer([] { return std::string(); });
-  exposer.add_route("/debug/requests",
-                    [&recorder] { return render_debug_requests(recorder); });
-  const std::string response = get_path(exposer.port(), "/debug/requests");
-  EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos);
-  EXPECT_NE(response.find("Content-Type: application/json"),
-            std::string::npos);
-  EXPECT_NE(response.find("\"recorded\":1"), std::string::npos);
-  EXPECT_NE(response.find("\"request\":7"), std::string::npos);
-  EXPECT_NE(response.find("\"stage\":\"solve\""), std::string::npos);
-}
-
-TEST(HttpExposer, PortInUseThrowsInsteadOfServingNothing) {
-  HttpExposer first([] { return std::string(); });
-  HttpExposerOptions clash;
-  clash.port = first.port();
-  EXPECT_THROW(HttpExposer([] { return std::string(); }, clash),
-               std::runtime_error);
 }
 
 }  // namespace

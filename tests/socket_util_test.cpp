@@ -1,12 +1,13 @@
-// Shared socket plumbing (net/socket_util) and the EventLoop readiness
+// Socket plumbing (net/socket_util) and the EventLoop readiness
 // multiplexer — including the SO_REUSEADDR restart-on-the-same-port
-// regression both listeners (HttpExposer, MatchServer) rely on.
+// regression MatchServer's wire and HTTP listeners rely on.
 
 #include "net/socket_util.hpp"
 
 #include <fcntl.h>
 #include <gtest/gtest.h>
 #include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <string>
@@ -17,6 +18,12 @@
 namespace {
 
 using namespace match::net;
+
+/// open_listener's fd is non-blocking; these tests accept synchronously.
+int accept_blocking(int listener) {
+  EXPECT_TRUE(set_nonblocking(listener, false));
+  return ::accept(listener, nullptr, nullptr);
+}
 
 TEST(SocketUtil, CloseFdIsIdempotentAndResets) {
   int fd = ::dup(STDOUT_FILENO);
@@ -42,12 +49,14 @@ TEST(SocketUtil, SetNonblockingToggles) {
 TEST(SocketUtil, ListenerAcceptsAndMovesBytesBothWays) {
   int listener = open_listener({});
   ASSERT_GE(listener, 0);
+  EXPECT_NE(::fcntl(listener, F_GETFL) & O_NONBLOCK, 0)
+      << "listeners are built for the reactor";
   const std::uint16_t port = bound_port(listener);
   ASSERT_GT(port, 0);
 
   int client = connect_to("127.0.0.1", port);
   ASSERT_GE(client, 0);
-  int served = accept_retry(listener);
+  int served = accept_blocking(listener);
   ASSERT_GE(served, 0);
 
   const std::string ping = "hello across loopback";
@@ -92,7 +101,7 @@ TEST(SocketUtil, RestartOnSamePortAfterServingConnections) {
   const std::uint16_t port = bound_port(first);
 
   int client = connect_to("127.0.0.1", port);
-  int served = accept_retry(first);
+  int served = accept_blocking(first);
   ASSERT_GE(served, 0);
   const char byte = 'x';
   ASSERT_TRUE(send_all(served, &byte, 1));
@@ -109,7 +118,7 @@ TEST(SocketUtil, RestartOnSamePortAfterServingConnections) {
   EXPECT_EQ(bound_port(second), port);
   // And it actually serves.
   int again = connect_to("127.0.0.1", port);
-  int peer = accept_retry(second);
+  int peer = accept_blocking(second);
   EXPECT_GE(peer, 0);
   close_fd(again);
   close_fd(peer);
@@ -173,7 +182,7 @@ TEST_P(EventLoopBothBackends, ReadinessModifyAndRemove) {
   // A connected socket is immediately writable once interest asks.
   int listener = open_listener({});
   int client = connect_to("127.0.0.1", bound_port(listener));
-  int served = accept_retry(listener);
+  int served = accept_blocking(listener);
   loop.add(client, /*want_read=*/false, /*want_write=*/true);
   ASSERT_EQ(loop.wait(1000, ready), 1u);
   EXPECT_EQ(ready[0].fd, client);
@@ -203,7 +212,7 @@ TEST_P(EventLoopBothBackends, PeerHangupReportsReadableOrError) {
   EventLoop loop(GetParam());
   int listener = open_listener({});
   int client = connect_to("127.0.0.1", bound_port(listener));
-  int served = accept_retry(listener);
+  int served = accept_blocking(listener);
   loop.add(served, /*want_read=*/true, /*want_write=*/false);
 
   close_fd(client);
