@@ -546,7 +546,7 @@ int main(int argc, char** argv) {
   if (http_server && linger_seconds > 0.0) {
     std::cout << "lingering " << linger_seconds
               << "s for scrapes (curl http://127.0.0.1:"
-              << http_server->http_port() << "/metrics)...\n";
+              << http_server->http_port() << "/metrics)..." << std::endl;
     std::this_thread::sleep_for(std::chrono::duration<double>(linger_seconds));
   }
   if (http_server) {

@@ -1,263 +1,19 @@
 #include "obs/bench_report.hpp"
 
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <stdexcept>
-#include <system_error>
 #include <utility>
 
+#include "obs/json.hpp"
+
 namespace match::bench {
-namespace {
 
-// ---------------------------------------------------------- JSON writing
-// (Same shortest-round-trip discipline as obs/events.cpp: a report read
-// back from disk compares equal field-for-field.)
-
-void append_double(std::string& out, double value) {
-  char buf[32];
-  auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), value);
-  if (ec != std::errc{}) throw std::runtime_error("bench: to_chars failed");
-  out.append(buf, ptr);
-}
-
-void append_u64(std::string& out, std::uint64_t value) {
-  char buf[24];
-  auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), value);
-  if (ec != std::errc{}) throw std::runtime_error("bench: to_chars failed");
-  out.append(buf, ptr);
-}
-
-void append_string(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
-// ---------------------------------------------------------- JSON parsing
-// Minimal recursive-descent parser for the documents this writer emits
-// (objects, arrays, strings, numbers).  Numbers keep an exact u64 view
-// when the token is integral, so counters beyond 2^53 round-trip.
-
-struct JsonValue {
-  enum class Kind { kNumber, kString, kObject, kArray };
-  Kind kind = Kind::kNumber;
-  double number = 0.0;
-  std::uint64_t uinteger = 0;
-  bool is_uint = false;
-  std::string str;
-  std::vector<std::pair<std::string, JsonValue>> object;
-  std::vector<JsonValue> array;
-
-  const JsonValue* find(std::string_view key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view s) : s_(s) {}
-
-  JsonValue parse_document() {
-    JsonValue v = parse_value();
-    skip_ws();
-    if (pos_ != s_.size()) fail("trailing characters");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const char* what) const {
-    throw std::invalid_argument(std::string("bench json: ") + what);
-  }
-  char peek() const {
-    if (pos_ >= s_.size()) fail("truncated document");
-    return s_[pos_];
-  }
-  char next() {
-    char c = peek();
-    ++pos_;
-    return c;
-  }
-  void expect(char c) {
-    if (next() != c) fail("malformed document");
-  }
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           (s_[pos_] == ' ' || s_[pos_] == '\t' || s_[pos_] == '\n' ||
-            s_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  JsonValue parse_value() {
-    skip_ws();
-    const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
-    if (c == '"') {
-      JsonValue v;
-      v.kind = JsonValue::Kind::kString;
-      v.str = parse_string();
-      return v;
-    }
-    return parse_number();
-  }
-
-  JsonValue parse_object() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kObject;
-    expect('{');
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      skip_ws();
-      std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      v.object.emplace_back(std::move(key), parse_value());
-      skip_ws();
-      const char sep = next();
-      if (sep == '}') break;
-      if (sep != ',') fail("expected ',' or '}'");
-    }
-    return v;
-  }
-
-  JsonValue parse_array() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kArray;
-    expect('[');
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      v.array.push_back(parse_value());
-      skip_ws();
-      const char sep = next();
-      if (sep == ']') break;
-      if (sep != ',') fail("expected ',' or ']'");
-    }
-    return v;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      char c = next();
-      if (c == '"') break;
-      if (c == '\\') {
-        char esc = next();
-        switch (esc) {
-          case '"': out.push_back('"'); break;
-          case '\\': out.push_back('\\'); break;
-          case '/': out.push_back('/'); break;
-          case 'n': out.push_back('\n'); break;
-          case 't': out.push_back('\t'); break;
-          case 'r': out.push_back('\r'); break;
-          case 'u': {
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = next();
-              code <<= 4;
-              if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-              else fail("bad \\u escape");
-            }
-            // The writer only emits \u00xx for control bytes.
-            out.push_back(static_cast<char>(code & 0xff));
-            break;
-          }
-          default: fail("bad escape");
-        }
-      } else {
-        out.push_back(c);
-      }
-    }
-    return out;
-  }
-
-  JsonValue parse_number() {
-    const std::size_t start = pos_;
-    while (pos_ < s_.size()) {
-      const char c = s_[pos_];
-      if ((c >= '0' && c <= '9') || c == '-' || c == '+' || c == '.' ||
-          c == 'e' || c == 'E' || c == 'i' || c == 'n' || c == 'f' ||
-          c == 'a' || c == 'N' || c == 'I') {
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-    if (pos_ == start) fail("expected a value");
-    const std::string_view tok = s_.substr(start, pos_ - start);
-    JsonValue v;
-    v.kind = JsonValue::Kind::kNumber;
-    {
-      std::uint64_t u = 0;
-      auto [ptr, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), u);
-      if (ec == std::errc{} && ptr == tok.data() + tok.size()) {
-        v.is_uint = true;
-        v.uinteger = u;
-      }
-    }
-    auto [ptr, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), v.number);
-    if (ec != std::errc{} || ptr != tok.data() + tok.size()) fail("bad number");
-    return v;
-  }
-
-  std::string_view s_;
-  std::size_t pos_ = 0;
-};
-
-double as_double(const JsonValue& v) {
-  if (v.kind != JsonValue::Kind::kNumber) {
-    throw std::invalid_argument("bench json: expected a number");
-  }
-  return v.number;
-}
-
-std::uint64_t as_u64(const JsonValue& v) {
-  if (v.kind != JsonValue::Kind::kNumber || !v.is_uint) {
-    throw std::invalid_argument("bench json: expected an unsigned integer");
-  }
-  return v.uinteger;
-}
-
-const std::string& as_string(const JsonValue& v) {
-  if (v.kind != JsonValue::Kind::kString) {
-    throw std::invalid_argument("bench json: expected a string");
-  }
-  return v.str;
-}
-
-}  // namespace
+using obs::append_double;
+using obs::append_json_string;
+using obs::append_u64;
+using obs::JsonValue;
 
 void BenchReport::attach_snapshot(const obs::MetricsSnapshot& snapshot) {
   counters = snapshot.counters;
@@ -272,9 +28,9 @@ std::string BenchReport::to_json() const {
   std::string out;
   out.reserve(2048);
   out += "{\"name\":";
-  append_string(out, name);
+  append_json_string(out, name);
   out += ",\"git_sha\":";
-  append_string(out, git_sha);
+  append_json_string(out, git_sha);
   out += ",\"schema_version\":";
   append_u64(out, kSchemaVersion);
 
@@ -283,9 +39,9 @@ std::string BenchReport::to_json() const {
   for (const auto& [key, value] : config) {
     if (!first) out.push_back(',');
     first = false;
-    append_string(out, key);
+    append_json_string(out, key);
     out.push_back(':');
-    append_string(out, value);
+    append_json_string(out, value);
   }
   out += "},\"cases\":[";
   first = true;
@@ -293,7 +49,7 @@ std::string BenchReport::to_json() const {
     if (!first) out.push_back(',');
     first = false;
     out += "{\"name\":";
-    append_string(out, c.name);
+    append_json_string(out, c.name);
     out += ",\"wall_seconds\":";
     append_double(out, c.wall_seconds);
     out += ",\"metrics\":{";
@@ -301,7 +57,7 @@ std::string BenchReport::to_json() const {
     for (const auto& [key, value] : c.metrics) {
       if (!first_metric) out.push_back(',');
       first_metric = false;
-      append_string(out, key);
+      append_json_string(out, key);
       out.push_back(':');
       append_double(out, value);
     }
@@ -312,7 +68,7 @@ std::string BenchReport::to_json() const {
   for (const auto& [key, value] : counters) {
     if (!first) out.push_back(',');
     first = false;
-    append_string(out, key);
+    append_json_string(out, key);
     out.push_back(':');
     append_u64(out, value);
   }
@@ -321,7 +77,7 @@ std::string BenchReport::to_json() const {
   for (const auto& [key, value] : gauges) {
     if (!first) out.push_back(',');
     first = false;
-    append_string(out, key);
+    append_json_string(out, key);
     out.push_back(':');
     append_double(out, value);
   }
@@ -330,7 +86,7 @@ std::string BenchReport::to_json() const {
   for (const auto& [key, stats] : histograms) {
     if (!first) out.push_back(',');
     first = false;
-    append_string(out, key);
+    append_json_string(out, key);
     out += ":{\"count\":";
     append_u64(out, stats.count);
     out += ",\"sum\":";
@@ -350,28 +106,28 @@ std::string BenchReport::to_json() const {
 }
 
 BenchReport BenchReport::from_json(std::string_view json) {
-  const JsonValue doc = JsonParser(json).parse_document();
+  const JsonValue doc = obs::parse_json(json);
   if (doc.kind != JsonValue::Kind::kObject) {
     throw std::invalid_argument("bench json: document is not an object");
   }
   BenchReport report;
-  if (const JsonValue* v = doc.find("name")) report.name = as_string(*v);
-  if (const JsonValue* v = doc.find("git_sha")) report.git_sha = as_string(*v);
+  if (const JsonValue* v = doc.find("name")) report.name = v->as_string();
+  if (const JsonValue* v = doc.find("git_sha")) report.git_sha = v->as_string();
   if (const JsonValue* v = doc.find("config")) {
     for (const auto& [key, value] : v->object) {
-      report.config[key] = as_string(value);
+      report.config[key] = value.as_string();
     }
   }
   if (const JsonValue* v = doc.find("cases")) {
     for (const JsonValue& entry : v->array) {
       BenchCase c;
-      if (const JsonValue* f = entry.find("name")) c.name = as_string(*f);
+      if (const JsonValue* f = entry.find("name")) c.name = f->as_string();
       if (const JsonValue* f = entry.find("wall_seconds")) {
-        c.wall_seconds = as_double(*f);
+        c.wall_seconds = f->as_double();
       }
       if (const JsonValue* f = entry.find("metrics")) {
         for (const auto& [key, value] : f->object) {
-          c.metrics[key] = as_double(value);
+          c.metrics[key] = value.as_double();
         }
       }
       report.cases.push_back(std::move(c));
@@ -379,23 +135,23 @@ BenchReport BenchReport::from_json(std::string_view json) {
   }
   if (const JsonValue* v = doc.find("counters")) {
     for (const auto& [key, value] : v->object) {
-      report.counters[key] = as_u64(value);
+      report.counters[key] = value.as_u64();
     }
   }
   if (const JsonValue* v = doc.find("gauges")) {
     for (const auto& [key, value] : v->object) {
-      report.gauges[key] = as_double(value);
+      report.gauges[key] = value.as_double();
     }
   }
   if (const JsonValue* v = doc.find("histograms")) {
     for (const auto& [key, value] : v->object) {
       obs::HistogramStats stats;
-      if (const JsonValue* f = value.find("count")) stats.count = as_u64(*f);
-      if (const JsonValue* f = value.find("sum")) stats.sum = as_double(*f);
-      if (const JsonValue* f = value.find("mean")) stats.mean = as_double(*f);
-      if (const JsonValue* f = value.find("p50")) stats.p50 = as_double(*f);
-      if (const JsonValue* f = value.find("p90")) stats.p90 = as_double(*f);
-      if (const JsonValue* f = value.find("p99")) stats.p99 = as_double(*f);
+      if (const JsonValue* f = value.find("count")) stats.count = f->as_u64();
+      if (const JsonValue* f = value.find("sum")) stats.sum = f->as_double();
+      if (const JsonValue* f = value.find("mean")) stats.mean = f->as_double();
+      if (const JsonValue* f = value.find("p50")) stats.p50 = f->as_double();
+      if (const JsonValue* f = value.find("p90")) stats.p90 = f->as_double();
+      if (const JsonValue* f = value.find("p99")) stats.p99 = f->as_double();
       report.histograms[key] = stats;
     }
   }

@@ -31,9 +31,11 @@
 // size lists round-trip verbatim); `cases` one entry per measured
 // configuration; the counters/gauges/histograms trio is an optional
 // `obs::MetricsSnapshot` so a bench can attach the solver metrics of
-// its run.  Doubles serialize in shortest round-trip form and
-// `from_json` parses them back exactly, which the schema round-trip
-// test (tests/bench_report_test.cpp) pins.
+// its run.  The report is written and read by the obs layer's one JSON
+// codec (obs/json.hpp), the same one event and span lines use: doubles
+// serialize in shortest round-trip form and `from_json` parses them
+// back exactly, which the schema round-trip test
+// (tests/bench_report_test.cpp) pins.
 
 #include <map>
 #include <string>

@@ -1,12 +1,10 @@
 #include "obs/events.hpp"
 
 #include <array>
-#include <charconv>
-#include <cstdlib>
-#include <istream>
 #include <ostream>
 #include <stdexcept>
-#include <system_error>
+
+#include "obs/json.hpp"
 
 namespace match::obs {
 namespace {
@@ -24,208 +22,6 @@ constexpr std::array<KindName, 6> kKindNames{{
     {EventKind::kFallbackDraw, "fallback_draw"},
     {EventKind::kRunEnd, "run_end"},
 }};
-
-// Shortest decimal form that parses back to the identical double.
-void append_double(std::string& out, double value) {
-  char buf[32];
-  auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), value);
-  if (ec != std::errc{}) throw std::runtime_error("obs: double to_chars failed");
-  out.append(buf, ptr);
-}
-
-void append_u64(std::string& out, std::uint64_t value) {
-  char buf[24];
-  auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), value);
-  if (ec != std::errc{}) throw std::runtime_error("obs: u64 to_chars failed");
-  out.append(buf, ptr);
-}
-
-// Event strings are identifiers ("match", "cache_hit"); escape the JSON
-// specials anyway so arbitrary solver names cannot corrupt the line.
-void append_json_string(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
-// --- Minimal parser for the flat one-level objects `to_jsonl` emits. ---
-
-class LineParser {
- public:
-  explicit LineParser(std::string_view line) : s_(line) {}
-
-  Event parse() {
-    Event e;
-    bool saw_kind = false;
-    skip_ws();
-    expect('{');
-    skip_ws();
-    if (peek() == '}') {
-      throw std::invalid_argument("obs: event line has no kind");
-    }
-    while (true) {
-      skip_ws();
-      std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      skip_ws();
-      if (key == "kind") {
-        e.kind = parse_event_kind(parse_string());
-        saw_kind = true;
-      } else if (key == "solver") {
-        e.solver = parse_string();
-      } else if (key == "phase") {
-        e.phase = parse_string();
-      } else if (key == "run") {
-        e.run_id = parse_u64();
-      } else if (key == "iter") {
-        e.iteration = parse_u64();
-      } else if (key == "elite") {
-        e.elite_count = parse_u64();
-      } else if (key == "gamma") {
-        e.gamma = parse_double();
-      } else if (key == "iter_best") {
-        e.iter_best = parse_double();
-      } else if (key == "best") {
-        e.best_so_far = parse_double();
-      } else if (key == "spread") {
-        e.elite_spread = parse_double();
-      } else if (key == "row_max_mean") {
-        e.row_max_mean = parse_double();
-      } else if (key == "entropy") {
-        e.entropy = parse_double();
-      } else if (key == "seconds") {
-        e.seconds = parse_double();
-      } else {
-        skip_value();  // forward compatibility: ignore unknown keys
-      }
-      skip_ws();
-      char c = next();
-      if (c == '}') break;
-      if (c != ',') throw std::invalid_argument("obs: expected ',' or '}'");
-    }
-    if (!saw_kind) throw std::invalid_argument("obs: event line has no kind");
-    return e;
-  }
-
- private:
-  char peek() const {
-    if (pos_ >= s_.size()) throw std::invalid_argument("obs: truncated event line");
-    return s_[pos_];
-  }
-  char next() {
-    char c = peek();
-    ++pos_;
-    return c;
-  }
-  void expect(char c) {
-    if (next() != c) throw std::invalid_argument("obs: malformed event line");
-  }
-  void skip_ws() {
-    while (pos_ < s_.size() && (s_[pos_] == ' ' || s_[pos_] == '\t')) ++pos_;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      char c = next();
-      if (c == '"') break;
-      if (c == '\\') {
-        char esc = next();
-        switch (esc) {
-          case '"': out.push_back('"'); break;
-          case '\\': out.push_back('\\'); break;
-          case 'n': out.push_back('\n'); break;
-          case 't': out.push_back('\t'); break;
-          case 'r': out.push_back('\r'); break;
-          case 'u': {
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = next();
-              code <<= 4;
-              if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-              else throw std::invalid_argument("obs: bad \\u escape");
-            }
-            // to_jsonl only emits \u00xx for control bytes.
-            out.push_back(static_cast<char>(code & 0xff));
-            break;
-          }
-          default: throw std::invalid_argument("obs: bad escape");
-        }
-      } else {
-        out.push_back(c);
-      }
-    }
-    return out;
-  }
-
-  std::string_view number_token() {
-    std::size_t start = pos_;
-    while (pos_ < s_.size()) {
-      char c = s_[pos_];
-      if ((c >= '0' && c <= '9') || c == '-' || c == '+' || c == '.' ||
-          c == 'e' || c == 'E' || c == 'i' || c == 'n' || c == 'f' ||
-          c == 'a' || c == 'N') {
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-    if (pos_ == start) throw std::invalid_argument("obs: expected number");
-    return s_.substr(start, pos_ - start);
-  }
-
-  std::uint64_t parse_u64() {
-    std::string_view tok = number_token();
-    std::uint64_t v = 0;
-    auto [ptr, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), v);
-    if (ec != std::errc{} || ptr != tok.data() + tok.size()) {
-      throw std::invalid_argument("obs: bad integer");
-    }
-    return v;
-  }
-
-  double parse_double() {
-    std::string_view tok = number_token();
-    double v = 0.0;
-    auto [ptr, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), v);
-    if (ec != std::errc{} || ptr != tok.data() + tok.size()) {
-      throw std::invalid_argument("obs: bad double");
-    }
-    return v;
-  }
-
-  void skip_value() {
-    char c = peek();
-    if (c == '"') {
-      (void)parse_string();
-    } else {
-      (void)number_token();
-    }
-  }
-
-  std::string_view s_;
-  std::size_t pos_ = 0;
-};
 
 }  // namespace
 
@@ -381,16 +177,43 @@ void append_jsonl(std::string& out, const Event& event) {
   out.push_back('}');
 }
 
-Event from_jsonl(std::string_view line) { return LineParser(line).parse(); }
-
-std::vector<Event> read_jsonl(std::istream& is) {
-  std::vector<Event> events;
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    events.push_back(from_jsonl(line));
+Event from_jsonl(std::string_view line) {
+  const JsonValue doc = parse_json(line);
+  Event e;
+  bool saw_kind = false;
+  // Members in document order; unknown keys are skipped (schema growth).
+  for (const auto& [key, v] : doc.object) {
+    if (key == "kind") {
+      e.kind = parse_event_kind(v.as_string());
+      saw_kind = true;
+    } else if (key == "solver") {
+      e.solver = v.as_string();
+    } else if (key == "phase") {
+      e.phase = v.as_string();
+    } else if (key == "run") {
+      e.run_id = v.as_u64();
+    } else if (key == "iter") {
+      e.iteration = v.as_u64();
+    } else if (key == "elite") {
+      e.elite_count = v.as_u64();
+    } else if (key == "gamma") {
+      e.gamma = v.as_double();
+    } else if (key == "iter_best") {
+      e.iter_best = v.as_double();
+    } else if (key == "best") {
+      e.best_so_far = v.as_double();
+    } else if (key == "spread") {
+      e.elite_spread = v.as_double();
+    } else if (key == "row_max_mean") {
+      e.row_max_mean = v.as_double();
+    } else if (key == "entropy") {
+      e.entropy = v.as_double();
+    } else if (key == "seconds") {
+      e.seconds = v.as_double();
+    }
   }
-  return events;
+  if (!saw_kind) throw std::invalid_argument("obs: event line has no kind");
+  return e;
 }
 
 void JsonlSink::emit(const Event& event) {

@@ -17,10 +17,12 @@
 // stream or the optimization state (tests/obs_test.cpp pins this: a
 // traced run is byte-identical to an untraced one).
 //
-// The JSONL serialization (`to_jsonl`/`from_jsonl`) round-trips doubles
+// The JSONL serialization (`to_jsonl`/`from_jsonl`) goes through the
+// obs layer's one JSON codec (obs/json.hpp) and round-trips doubles
 // exactly (shortest round-trip form via std::to_chars), so a replayed
-// trace reconstructs e.g. the γ trajectory bit-for-bit.  Schema
-// reference: docs/OBSERVABILITY.md.
+// trace reconstructs e.g. the γ trajectory bit-for-bit.  Whole traces
+// are read back by `read_jsonl_lenient` (obs/trace_analysis.hpp).
+// Schema reference: docs/OBSERVABILITY.md.
 
 #include <cstdint>
 #include <iosfwd>
@@ -181,11 +183,10 @@ std::string to_jsonl(const Event& event);
 /// lets hot emit paths reuse one allocation across events.
 void append_jsonl(std::string& out, const Event& event);
 
-/// Parses a line produced by `to_jsonl`.  Unknown keys are ignored (schema
-/// may grow); throws `std::invalid_argument` on malformed input.
+/// Parses a line produced by `to_jsonl`.  Unknown keys are ignored,
+/// whatever their value (schema may grow); `kind` is required.  Throws
+/// `std::invalid_argument` on malformed input, including bytes after
+/// the closing brace.
 Event from_jsonl(std::string_view line);
-
-/// Reads a whole JSONL trace; blank lines are skipped.
-std::vector<Event> read_jsonl(std::istream& is);
 
 }  // namespace match::obs

@@ -1,10 +1,9 @@
 #include "obs/prometheus.hpp"
 
-#include <charconv>
 #include <cmath>
 #include <cstdint>
-#include <stdexcept>
-#include <system_error>
+
+#include "obs/json.hpp"
 
 namespace match::obs {
 namespace {
@@ -27,17 +26,11 @@ void append_value(std::string& out, double value) {
     out += "NaN";
     return;
   }
-  char buf[32];
-  auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), value);
-  if (ec != std::errc{}) throw std::runtime_error("prometheus: to_chars failed");
-  out.append(buf, ptr);
+  append_double(out, value);
 }
 
 void append_value(std::string& out, std::uint64_t value) {
-  char buf[24];
-  auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), value);
-  if (ec != std::errc{}) throw std::runtime_error("prometheus: to_chars failed");
-  out.append(buf, ptr);
+  append_u64(out, value);
 }
 
 /// Shared label block rendered once per snapshot: `{job="x",host="y"}`

@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <charconv>
-#include <cstdio>
-#include <istream>
 #include <ostream>
 #include <stdexcept>
-#include <system_error>
 #include <utility>
+
+#include "obs/json.hpp"
 
 namespace match::obs {
 namespace {
@@ -29,275 +27,9 @@ constexpr std::array<StageName, kNumSpanStages> kStageNames{{
     {SpanStage::kWriteFlush, "write_flush"},
 }};
 
-// Same shortest-round-trip discipline as obs/events.cpp: a timeline read
-// back from disk compares equal span-for-span.
-
-void append_double(std::string& out, double value) {
-  char buf[32];
-  auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), value);
-  if (ec != std::errc{}) throw std::runtime_error("spans: to_chars failed");
-  out.append(buf, ptr);
-}
-
-void append_u64(std::string& out, std::uint64_t value) {
-  char buf[24];
-  auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), value);
-  if (ec != std::errc{}) throw std::runtime_error("spans: to_chars failed");
-  out.append(buf, ptr);
-}
-
-void append_json_string(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
 double seconds_between(SpanClock::time_point from, SpanClock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
 }
-
-// --- Minimal parser for the one-timeline-per-line documents the writer
-// emits: a flat object whose only nesting is the "spans" array of flat
-// objects.  (obs/events.cpp's LineParser is flat-only, so spans carry
-// their own.)
-
-class TimelineParser {
- public:
-  explicit TimelineParser(std::string_view line) : s_(line) {}
-
-  SpanTimeline parse() {
-    SpanTimeline tl;
-    bool saw_request = false;
-    skip_ws();
-    expect('{');
-    skip_ws();
-    if (peek() == '}') {
-      throw std::invalid_argument("spans: timeline line has no request id");
-    }
-    while (true) {
-      skip_ws();
-      const std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      skip_ws();
-      if (key == "request") {
-        tl.request_id = parse_u64();
-        saw_request = true;
-      } else if (key == "outcome") {
-        tl.outcome = parse_string();
-      } else if (key == "solver") {
-        tl.solver = parse_string();
-      } else if (key == "total") {
-        tl.total_seconds = parse_double();
-      } else if (key == "spans") {
-        parse_spans(tl);
-      } else {
-        skip_value();  // forward compatibility
-      }
-      skip_ws();
-      const char c = next();
-      if (c == '}') break;
-      if (c != ',') throw std::invalid_argument("spans: expected ',' or '}'");
-    }
-    if (!saw_request) {
-      throw std::invalid_argument("spans: timeline line has no request id");
-    }
-    skip_ws();
-    if (pos_ != s_.size()) {
-      throw std::invalid_argument("spans: trailing characters after timeline");
-    }
-    return tl;
-  }
-
- private:
-  char peek() const {
-    if (pos_ >= s_.size()) {
-      throw std::invalid_argument("spans: truncated timeline line");
-    }
-    return s_[pos_];
-  }
-  char next() {
-    char c = peek();
-    ++pos_;
-    return c;
-  }
-  void expect(char c) {
-    if (next() != c) throw std::invalid_argument("spans: malformed line");
-  }
-  void skip_ws() {
-    while (pos_ < s_.size() && (s_[pos_] == ' ' || s_[pos_] == '\t')) ++pos_;
-  }
-
-  void parse_spans(SpanTimeline& tl) {
-    expect('[');
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return;
-    }
-    while (true) {
-      skip_ws();
-      tl.spans.push_back(parse_span());
-      skip_ws();
-      const char c = next();
-      if (c == ']') break;
-      if (c != ',') throw std::invalid_argument("spans: expected ',' or ']'");
-    }
-  }
-
-  SpanRecord parse_span() {
-    SpanRecord span;
-    bool saw_stage = false;
-    expect('{');
-    while (true) {
-      skip_ws();
-      const std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      skip_ws();
-      if (key == "stage") {
-        span.stage = parse_span_stage(parse_string());
-        saw_stage = true;
-      } else if (key == "start") {
-        span.start_seconds = parse_double();
-      } else if (key == "end") {
-        span.end_seconds = parse_double();
-      } else if (key == "outcome") {
-        span.outcome = parse_string();
-      } else {
-        skip_value();
-      }
-      skip_ws();
-      const char c = next();
-      if (c == '}') break;
-      if (c != ',') throw std::invalid_argument("spans: expected ',' or '}'");
-    }
-    if (!saw_stage) throw std::invalid_argument("spans: span has no stage");
-    return span;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      char c = next();
-      if (c == '"') break;
-      if (c == '\\') {
-        char esc = next();
-        switch (esc) {
-          case '"': out.push_back('"'); break;
-          case '\\': out.push_back('\\'); break;
-          case 'n': out.push_back('\n'); break;
-          case 't': out.push_back('\t'); break;
-          case 'r': out.push_back('\r'); break;
-          case 'u': {
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = next();
-              code <<= 4;
-              if (h >= '0' && h <= '9') {
-                code |= static_cast<unsigned>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                code |= static_cast<unsigned>(h - 'a' + 10);
-              } else if (h >= 'A' && h <= 'F') {
-                code |= static_cast<unsigned>(h - 'A' + 10);
-              } else {
-                throw std::invalid_argument("spans: bad \\u escape");
-              }
-            }
-            // The writer only emits \u00xx for control bytes.
-            out.push_back(static_cast<char>(code & 0xff));
-            break;
-          }
-          default: throw std::invalid_argument("spans: bad escape");
-        }
-      } else {
-        out.push_back(c);
-      }
-    }
-    return out;
-  }
-
-  std::string_view number_token() {
-    const std::size_t start = pos_;
-    while (pos_ < s_.size()) {
-      const char c = s_[pos_];
-      if ((c >= '0' && c <= '9') || c == '-' || c == '+' || c == '.' ||
-          c == 'e' || c == 'E' || c == 'i' || c == 'n' || c == 'f' ||
-          c == 'a' || c == 'N') {
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-    if (pos_ == start) throw std::invalid_argument("spans: expected number");
-    return s_.substr(start, pos_ - start);
-  }
-
-  std::uint64_t parse_u64() {
-    const std::string_view tok = number_token();
-    std::uint64_t v = 0;
-    auto [ptr, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), v);
-    if (ec != std::errc{} || ptr != tok.data() + tok.size()) {
-      throw std::invalid_argument("spans: bad integer");
-    }
-    return v;
-  }
-
-  double parse_double() {
-    const std::string_view tok = number_token();
-    double v = 0.0;
-    auto [ptr, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), v);
-    if (ec != std::errc{} || ptr != tok.data() + tok.size()) {
-      throw std::invalid_argument("spans: bad double");
-    }
-    return v;
-  }
-
-  void skip_value() {
-    const char c = peek();
-    if (c == '"') {
-      (void)parse_string();
-    } else if (c == '{' || c == '[') {
-      // Balanced skip: good enough for the flat-ish documents we emit.
-      const char open = next();
-      const char close = open == '{' ? '}' : ']';
-      std::size_t depth = 1;
-      while (depth > 0) {
-        const char d = next();
-        if (d == '"') {
-          --pos_;
-          (void)parse_string();
-        } else if (d == open) {
-          ++depth;
-        } else if (d == close) {
-          --depth;
-        }
-      }
-    } else {
-      (void)number_token();
-    }
-  }
-
-  std::string_view s_;
-  std::size_t pos_ = 0;
-};
 
 }  // namespace
 
@@ -400,23 +132,67 @@ std::string to_span_jsonl(const SpanTimeline& timeline) {
   return out;
 }
 
+namespace {
+
+SpanRecord span_from_json(const JsonValue& v) {
+  SpanRecord span;
+  bool saw_stage = false;
+  for (const auto& [key, field] : v.object) {
+    if (key == "stage") {
+      span.stage = parse_span_stage(field.as_string());
+      saw_stage = true;
+    } else if (key == "start") {
+      span.start_seconds = field.as_double();
+    } else if (key == "end") {
+      span.end_seconds = field.as_double();
+    } else if (key == "outcome") {
+      span.outcome = field.as_string();
+    }
+  }
+  if (!saw_stage) throw std::invalid_argument("spans: span has no stage");
+  return span;
+}
+
+}  // namespace
+
 SpanTimeline from_span_jsonl(std::string_view line) {
-  return TimelineParser(line).parse();
+  const JsonValue doc = parse_json(line);
+  SpanTimeline tl;
+  bool saw_request = false;
+  // Unknown keys are skipped (schema growth).
+  for (const auto& [key, v] : doc.object) {
+    if (key == "request") {
+      tl.request_id = v.as_u64();
+      saw_request = true;
+    } else if (key == "outcome") {
+      tl.outcome = v.as_string();
+    } else if (key == "solver") {
+      tl.solver = v.as_string();
+    } else if (key == "total") {
+      tl.total_seconds = v.as_double();
+    } else if (key == "spans") {
+      if (v.kind != JsonValue::Kind::kArray) {
+        throw std::invalid_argument("spans: \"spans\" is not an array");
+      }
+      for (const JsonValue& span : v.array) {
+        tl.spans.push_back(span_from_json(span));
+      }
+    }
+  }
+  if (!saw_request) {
+    throw std::invalid_argument("spans: timeline line has no request id");
+  }
+  return tl;
 }
 
 SpanTrace read_span_jsonl_lenient(std::istream& is) {
   SpanTrace out;
-  std::string line;
-  while (std::getline(is, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty()) continue;
-    ++out.total_lines;
-    try {
-      out.timelines.push_back(from_span_jsonl(line));
-    } catch (const std::exception&) {
-      ++out.skipped_lines;
-    }
-  }
+  const JsonlLineCounts counts =
+      for_each_jsonl_line(is, [&](std::string_view line) {
+        out.timelines.push_back(from_span_jsonl(line));
+      });
+  out.total_lines = counts.total_lines;
+  out.skipped_lines = counts.skipped_lines;
   return out;
 }
 

@@ -24,9 +24,9 @@
 //   * `render_debug_requests` — bounded JSON for net::MatchServer's
 //     `/debug/requests` HTTP route;
 //   * `attach_stream` — every sealed timeline appended to a JSONL
-//     stream (`match_server --span-trace out.jsonl`), doubles in
-//     shortest round-trip form exactly like obs/events.cpp, parsed back
-//     by `from_span_jsonl` / `read_span_jsonl_lenient` for
+//     stream (`match_server --span-trace out.jsonl`), written and
+//     parsed back by the same codec as event lines (obs/json.hpp) via
+//     `from_span_jsonl` / `read_span_jsonl_lenient` for
 //     `match_inspect spans`.
 //
 // Spans obey the PR 2 pure-observer contract: stamping reads the clock
@@ -145,8 +145,9 @@ std::string to_span_jsonl(const SpanTimeline& timeline);
 void append_span_jsonl(std::string& out, const SpanTimeline& timeline);
 
 /// Inverse of `to_span_jsonl` (exact doubles); throws
-/// `std::invalid_argument` on malformed lines.  Unknown keys are
-/// skipped so the schema may grow.
+/// `std::invalid_argument` on malformed lines.  `request` (and each
+/// span's `stage`) is required; unknown keys are skipped so the schema
+/// may grow.
 SpanTimeline from_span_jsonl(std::string_view line);
 
 struct SpanTrace {

@@ -12,23 +12,18 @@
 
 #include "io/table.hpp"
 #include "obs/bench_report.hpp"
+#include "obs/json.hpp"
 
 namespace match::obs {
 
 LenientTrace read_jsonl_lenient(std::istream& is) {
   LenientTrace out;
-  std::string line;
-  while (std::getline(is, line)) {
-    // Tolerate CRLF traces (a file that bounced through Windows tooling).
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty()) continue;
-    ++out.total_lines;
-    try {
-      out.events.push_back(from_jsonl(line));
-    } catch (const std::exception&) {
-      ++out.skipped_lines;
-    }
-  }
+  const JsonlLineCounts counts =
+      for_each_jsonl_line(is, [&](std::string_view line) {
+        out.events.push_back(from_jsonl(line));
+      });
+  out.total_lines = counts.total_lines;
+  out.skipped_lines = counts.skipped_lines;
   return out;
 }
 

@@ -2,10 +2,12 @@
 
 // Post-hoc analysis of JSONL event traces (the files JsonlSink writes).
 //
-// Where `read_jsonl` is strict (one bad line throws), the analyzer is
-// built for operations: `read_jsonl_lenient` skips-and-counts malformed
-// or truncated lines (a server killed mid-write leaves a torn last
-// line), and `analyze` folds the surviving events into per-run
+// The analyzer is built for operations: `read_jsonl_lenient` parses
+// each line with `from_jsonl` and skips-and-counts the malformed or
+// truncated ones (a server killed mid-write leaves a torn last line) —
+// the same loop `read_span_jsonl_lenient` runs over span lines
+// (`for_each_jsonl_line`, obs/json.hpp) — and `analyze` folds the
+// surviving events into per-run
 // convergence reports — γ trajectory, iterations-to-stability in the
 // sense of the paper's stopping rule (eq. 12: the trajectory stops
 // moving for a window of consecutive iterations), per-phase time

@@ -15,8 +15,10 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "fuzz_mutate.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "net/socket_util.hpp"
@@ -306,38 +308,11 @@ TEST(NetHttp, StalledClientBlocksNoOne) {
 
 // ------------------------------------------------------ parse_http_head
 
-/// Byte-level mutation of `input`: 1–4 edits drawn from flip, insert,
-/// erase, truncate, duplicate-a-slice, and splice-a-token.
 std::string mutate(std::string input, rng::Rng& rng) {
   static constexpr std::string_view kTokens[] = {
       "GET", "HEAD", "POST", " ", "\r\n", "\r", "\n", "?", "/",
       "/metrics", "/healthz", "/debug/requests", "HTTP/1.1", "%00"};
-  for (std::size_t e = 1 + rng.below(4); e > 0; --e) {
-    const std::size_t at = rng.below(input.size() + 1);
-    const auto byte = static_cast<char>(rng.below(256));
-    switch (rng.below(6)) {
-      case 0:
-        if (!input.empty()) input[rng.below(input.size())] = byte;
-        break;
-      case 1:
-        input.insert(at, 1, byte);
-        break;
-      case 2:
-        if (at < input.size()) input.erase(at, 1 + rng.below(8));
-        break;
-      case 3:
-        input.resize(at);
-        break;
-      case 4:
-        input.insert(at, input.substr(rng.below(input.size() + 1),
-                                      rng.below(16)));
-        break;
-      default:
-        input.insert(at, kTokens[rng.below(std::size(kTokens))]);
-        break;
-    }
-  }
-  return input;
+  return fuzz::mutate(std::move(input), rng, kTokens);
 }
 
 // The checked-in corpus: the three route heads and malformed ones, each

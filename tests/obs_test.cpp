@@ -27,6 +27,7 @@
 #include "obs/metrics.hpp"
 #include "obs/prometheus.hpp"
 #include "obs/scoped_timer.hpp"
+#include "obs/trace_analysis.hpp"
 #include "rng/rng.hpp"
 #include "service/service.hpp"
 #include "sim/evaluator.hpp"
@@ -187,6 +188,36 @@ TEST(Jsonl, ParserRejectsGarbageAndIgnoresUnknownKeys) {
   EXPECT_EQ(e.run_id, 9u);
 }
 
+TEST(Jsonl, SkipsNestedUnknownValues) {
+  // Objects, arrays, booleans and null under unknown keys are skipped
+  // whole, as span lines and bench reports skip them.
+  const Event e = from_jsonl(
+      "{\"kind\":\"run_end\",\"run\":3,\"future\":{\"deep\":[1,{\"k\":\"}]\"}]},"
+      "\"flags\":[true,false,null],\"note\":null,\"ok\":true,\"iter\":4}");
+  EXPECT_EQ(e.kind, EventKind::kRunEnd);
+  EXPECT_EQ(e.run_id, 3u);
+  EXPECT_EQ(e.iteration, 4u);
+}
+
+TEST(Jsonl, RejectsTrailingBytesAfterTheEvent) {
+  const std::string line = to_jsonl(Event::run_start(1, "ce"));
+  EXPECT_EQ(from_jsonl(line + " \t").run_id, 1u);  // whitespace is fine
+  EXPECT_THROW(from_jsonl(line + " trailing"), std::invalid_argument);
+  EXPECT_THROW(from_jsonl(line + "}"), std::invalid_argument);
+  // Two events glued onto one line (a lost newline) are not one event.
+  EXPECT_THROW(from_jsonl(line + line), std::invalid_argument);
+}
+
+TEST(Jsonl, U64FieldsAreExactAndRejectNegativeOrFractional) {
+  EXPECT_EQ(from_jsonl("{\"kind\":\"run_start\",\"run\":9007199254740993}")
+                .run_id,
+            (1ull << 53) + 1);
+  EXPECT_THROW(from_jsonl("{\"kind\":\"run_start\",\"run\":-1}"),
+               std::invalid_argument);
+  EXPECT_THROW(from_jsonl("{\"kind\":\"run_end\",\"run\":1,\"iter\":2.5}"),
+               std::invalid_argument);
+}
+
 TEST(JsonlSink, WritesReadableTrace) {
   std::stringstream stream;
   JsonlSink sink(stream);
@@ -197,7 +228,9 @@ TEST(JsonlSink, WritesReadableTrace) {
   EXPECT_EQ(sink.emitted(), 2u);
 
   stream << "\n";  // blank line must be skipped
-  const std::vector<Event> back = read_jsonl(stream);
+  const LenientTrace trace = read_jsonl_lenient(stream);
+  EXPECT_EQ(trace.skipped_lines, 0u);
+  const std::vector<Event>& back = trace.events;
   ASSERT_EQ(back.size(), 2u);
   EXPECT_EQ(back[0], a);
   EXPECT_EQ(back[1], b);

@@ -227,17 +227,19 @@ TEST_P(EventLoopBothBackends, PeerHangupReportsReadableOrError) {
   close_fd(listener);
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, EventLoopBothBackends,
 #ifdef __linux__
-                         ::testing::Values(EventLoop::Backend::kEpoll,
-                                           EventLoop::Backend::kPoll),
+constexpr EventLoop::Backend kBackends[] = {EventLoop::Backend::kEpoll,
+                                            EventLoop::Backend::kPoll};
 #else
-                         ::testing::Values(EventLoop::Backend::kPoll),
+constexpr EventLoop::Backend kBackends[] = {EventLoop::Backend::kPoll};
 #endif
-                         [](const auto& info) {
-                           return info.param == EventLoop::Backend::kEpoll
-                                      ? "epoll"
-                                      : "poll";
+
+INSTANTIATE_TEST_SUITE_P(Backends, EventLoopBothBackends,
+                         ::testing::ValuesIn(kBackends),
+                         [](const auto& instance) {
+                           const bool epoll =
+                               instance.param == EventLoop::Backend::kEpoll;
+                           return epoll ? "epoll" : "poll";
                          });
 
 }  // namespace
